@@ -206,7 +206,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             // depth-4 queues that used to stall batched rounds.
             let session = PmTestSession::builder().workers(workers).batch_capacity(batch).build();
             session.start();
-            run_round(&session, traces); // warm the buffer pool
+            run_round(&session, traces); // warm the arena pool
             group.bench_with_input(
                 BenchmarkId::new(format!("w{workers}"), format!("b{batch}")),
                 &traces,
@@ -235,7 +235,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             .telemetry(TelemetryConfig::enabled().with_tracing())
             .build();
         session.start();
-        run_round(&session, traces); // warm the buffer pool
+        run_round(&session, traces); // warm the arena pool
         group.bench_with_input(BenchmarkId::new("telemetry_w4", "b32"), &traces, |b, &traces| {
             b.iter(|| run_round(&session, traces))
         });
@@ -261,7 +261,7 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
             .telemetry(TelemetryConfig::profiling_only())
             .build();
         session.start();
-        run_round(&session, traces); // warm the buffer pool
+        run_round(&session, traces); // warm the arena pool
         group.bench_with_input(BenchmarkId::new("profiling_w4", "b32"), &traces, |b, &traces| {
             b.iter(|| run_round(&session, traces))
         });

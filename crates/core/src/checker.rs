@@ -16,9 +16,10 @@ use crate::shadow::ShadowMemory;
 /// Every trace is checked against logically fresh state, but the state's
 /// *allocations* (segment vectors, interval-tree arena, interner) are
 /// expensive to rebuild per trace. A `CheckerScratch` is `reset()` between
-/// traces instead — mirroring the entry [`BufferPool`](pmtest_trace::BufferPool)
-/// — so a steady-state worker checks without touching the allocator. Pass it
-/// to [`TraceChecker::with_scratch`] or [`check_trace_with`].
+/// traces instead — mirroring the engine's
+/// [`ArenaPool`](pmtest_trace::ArenaPool) — so a steady-state worker checks
+/// without touching the allocator. Pass it to [`TraceChecker::with_scratch`]
+/// or [`check_trace_with`].
 #[derive(Default)]
 pub struct CheckerScratch {
     shadow: ShadowMemory,
@@ -293,18 +294,25 @@ impl<'a> TraceChecker<'a> {
     /// at a time on the stack — the worker hot path never materialises a
     /// `Vec<Entry>` for the trace.
     pub fn process_packed(&mut self, words: &[PackedEntry], resolver: &mut LocResolver) {
-        let mut i = 0;
-        while let Some((entry, next)) = decode_next(words, i, resolver) {
-            self.process(&entry);
-            i = next;
-        }
+        self.process_packed_observed(words, resolver, &mut ());
     }
 
-    /// Processes packed records and returns the diagnostics.
-    #[must_use]
-    pub fn run_packed(mut self, words: &[PackedEntry], resolver: &mut LocResolver) -> Vec<Diag> {
-        self.process_packed(words, resolver);
-        self.finish()
+    /// The one packed walk: decodes and processes each entry, then shows it
+    /// to `observer` together with the checker state it produced.
+    fn process_packed_observed<O: ReplayObserver>(
+        &mut self,
+        words: &[PackedEntry],
+        resolver: &mut LocResolver,
+        observer: &mut O,
+    ) {
+        let mut i = 0;
+        let mut index = 0;
+        while let Some((entry, next)) = decode_next(words, i, resolver) {
+            self.process(&entry);
+            observer.observe(index, &entry, self);
+            i = next;
+            index += 1;
+        }
     }
 
     /// Returns the diagnostics accumulated so far.
@@ -540,7 +548,36 @@ pub fn check_packed_with(
     scratch: &mut CheckerScratch,
     resolver: &mut LocResolver,
 ) -> Vec<Diag> {
-    TraceChecker::with_scratch(model, scratch).run_packed(words, resolver)
+    check_packed_observed(words, model, scratch, resolver, &mut ())
+}
+
+/// A per-entry hook on the packed walk, called after each entry is
+/// processed. Statically dispatched: the `()` observer compiles away, so the
+/// uninstrumented walk pays nothing for the hook.
+pub(crate) trait ReplayObserver {
+    /// Sees entry number `index` (in program order) and the checker state
+    /// it left behind.
+    fn observe(&mut self, index: usize, entry: &Entry, checker: &TraceChecker<'_>);
+}
+
+impl ReplayObserver for () {
+    #[inline(always)]
+    fn observe(&mut self, _index: usize, _entry: &Entry, _checker: &TraceChecker<'_>) {}
+}
+
+/// [`check_packed_with`] with an observer on the walk — the engine's
+/// instrumented lane (per-entry timing, flight-recorder capture, trace
+/// statistics) over the same single pass the fast path runs.
+pub(crate) fn check_packed_observed<O: ReplayObserver>(
+    words: &[PackedEntry],
+    model: &dyn PersistencyModel,
+    scratch: &mut CheckerScratch,
+    resolver: &mut LocResolver,
+    observer: &mut O,
+) -> Vec<Diag> {
+    let mut checker = TraceChecker::with_scratch(model, scratch);
+    checker.process_packed_observed(words, resolver, observer);
+    checker.finish()
 }
 
 /// Maximum number of distinct ranges the clean-lane DFA tracks before it

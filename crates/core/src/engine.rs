@@ -7,16 +7,19 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 use pmtest_obs::{EventLog, ScrapeServer, SpanHandle, TelemetrySnapshot};
-use pmtest_trace::packed::decode_all;
 use pmtest_trace::{
-    ArenaPool, BufferPool, FlightRecorder, LocResolver, PackedEntry, Trace, TraceArena, TraceStats,
+    ArenaPool, Entry, FlightRecorder, LocResolver, PackedEntry, Trace, TraceArena, TraceStats,
+    TraceStatsFold,
 };
 
 use crate::bundle::{capture_step, BundleReason, DiagnosisBundle};
 use crate::cache::{
     CachedVerdict, VerdictCache, VerdictCacheConfig, VerdictCacheStats, WorkerCache,
 };
-use crate::checker::{check_packed_with, packed_clean, CheckerScratch, TraceChecker};
+use crate::checker::{
+    check_packed_observed, check_packed_with, packed_clean, CheckerScratch, ReplayObserver,
+    TraceChecker,
+};
 use crate::diag::{Report, Severity, TraceReport};
 use crate::ingest::{IngestPlane, ProducerRing, WorkerGuard};
 use crate::model::{BuiltinModel, PersistencyModel, X86Model};
@@ -38,13 +41,6 @@ pub struct EngineConfig {
     /// What the engine records beyond its always-on counters (latency
     /// histograms, the structured event ring). Defaults to everything off.
     pub telemetry: TelemetryConfig,
-    /// Retained for compatibility with replay harnesses (the differential
-    /// fuzzer's replay mode). The sharded ingest plane already gives every
-    /// producer thread its own FIFO ring — each producer's batches are
-    /// claimed in submission order — and reports are sorted by trace id
-    /// regardless of which worker checked what, so results are reproducible
-    /// with or without this knob. It no longer changes scheduling.
-    pub deterministic_dispatch: bool,
     /// The content-addressed verdict cache (see [`crate::cache`]). Off by
     /// default: the default configuration keeps measuring — and the golden
     /// suites keep pinning — the uncached path.
@@ -58,42 +54,19 @@ impl Default for EngineConfig {
             workers: 1,
             queue_capacity: 256,
             telemetry: TelemetryConfig::off(),
-            deterministic_dispatch: false,
             verdict_cache: VerdictCacheConfig::default(),
         }
     }
 }
 
-/// One message on the ingest plane: a single trace, a batch of traces, or a
-/// whole record arena.
-///
-/// The single-trace variant keeps the unbatched path (the paper's default)
-/// free of the extra `Vec` a one-element batch would allocate; the arena
-/// variant is the batched session's zero-copy handoff — many traces, one
-/// contiguous buffer, one pointer move.
-enum TraceBatch {
-    One(Trace),
-    Many(Vec<Trace>),
-    Arena(TraceArena),
-}
-
-impl TraceBatch {
-    fn len(&self) -> u64 {
-        match self {
-            TraceBatch::One(_) => 1,
-            TraceBatch::Many(traces) => traces.len() as u64,
-            TraceBatch::Arena(arena) => arena.sealed() as u64,
-        }
-    }
-}
-
-/// What actually travels on a producer ring: the traces plus their dispatch
+/// What actually travels on a producer ring: one sealed [`TraceArena`] —
+/// every submission path ships its traces in one — plus its dispatch
 /// accounting. The accounting settles on drop, so the `outstanding` counter
 /// stays consistent no matter how the batch dies — checked normally,
 /// abandoned mid-batch by a panicking checker, or discarded from a dead
 /// plane's rings after the last worker exits.
 struct BatchMsg {
-    traces: TraceBatch,
+    arena: TraceArena,
     accounting: BatchAccounting,
     /// Send time, for the dispatch-latency histogram. `None` unless the
     /// telemetry timing layer is on — reading the clock per submit would
@@ -164,9 +137,9 @@ pub fn derived_queue_capacity(batch_capacity: usize) -> usize {
 /// A worker takes one scratch per received batch and returns it afterwards,
 /// so the pool never holds more instances than there are workers — but the
 /// shadow memory, transaction log tree, and interner *allocations* inside
-/// each instance survive indefinitely. Together with the entry
-/// [`BufferPool`] this removes the last per-trace allocation from the
-/// steady-state checking path.
+/// each instance survive indefinitely. Together with the [`ArenaPool`] this
+/// removes the last per-trace allocation from the steady-state checking
+/// path.
 struct ShadowPool {
     // Boxed so acquire/release move one pointer under the lock, not the
     // whole scratch struct.
@@ -231,16 +204,19 @@ impl ShadowPool {
 ///   affinity rings first and *steal* from the rest when idle, so the active
 ///   worker set tracks the offered load. See `crate::ingest` and DESIGN.md
 ///   §13.
-/// * **Arena batches** — a batched session records straight into a
-///   [`TraceArena`] of compact packed records; [`submit_arena`](Self::submit_arena)
-///   moves the whole batch as one pointer handoff, and workers check the
-///   packed records in place without decoding them into `Entry` vectors.
+/// * **Arena batches** — every submission travels as one [`TraceArena`] of
+///   compact packed records: a batched session records straight into one
+///   and [`submit_arena`](Self::submit_arena) moves it as one pointer
+///   handoff, while [`submit`](Self::submit) and
+///   [`submit_batch`](Self::submit_batch) copy standalone traces into a
+///   pooled one. Workers check the packed records in place without decoding
+///   them into `Entry` vectors.
 /// * **Sharded results** — each worker appends finished [`TraceReport`]s to
 ///   its own shard; shards merge only when a report is requested, so workers
 ///   never contend on a global results lock.
-/// * **Storage recycling** — workers return entry buffers, arenas, and
-///   checker scratch state to pools that sessions and later batches draw
-///   from, keeping the steady-state path off the allocator.
+/// * **Storage recycling** — workers return arenas and checker scratch
+///   state to pools that sessions and later batches draw from, keeping the
+///   steady-state path off the allocator.
 ///
 /// # Examples
 ///
@@ -284,10 +260,8 @@ struct Shared {
     /// request — so [`Engine::report`] clones an already-built [`Report`]
     /// and [`Engine::with_report`] borrows it without copying at all.
     collected: Mutex<Report>,
-    /// Record buffers recycled between workers (release) and sessions
-    /// (acquire) on the unbatched path.
-    pool: Arc<BufferPool>,
-    /// Batch arenas recycled between workers and batched sessions.
+    /// Batch arenas recycled between workers (release) and submitters
+    /// (acquire).
     arena_pool: Arc<ArenaPool>,
     /// Checker scratch state (shadow memory, tx scope, interner) recycled
     /// across batches, one instance held per busy worker.
@@ -425,12 +399,6 @@ impl Shared {
             snap.push_gauge("engine_ring_highwater", labels, ring.highwater as f64);
             snap.push_counter("engine_ring_pushed", labels, ring.pushed);
         }
-        let pool = self.pool.stats();
-        snap.push_counter("pool_recycled", &[], pool.recycled);
-        snap.push_counter("pool_fresh", &[], pool.fresh);
-        snap.push_counter("pool_released", &[], pool.released);
-        snap.push_counter("pool_dropped", &[], pool.dropped);
-        snap.push_gauge("pool_hit_rate", &[], pool.hit_rate());
         let arena = self.arena_pool.stats();
         snap.push_counter("arena_pool_recycled", &[], arena.recycled);
         snap.push_counter("arena_pool_fresh", &[], arena.fresh);
@@ -545,7 +513,6 @@ impl Engine {
             plane: Arc::new(IngestPlane::new(config.workers, config.queue_capacity)),
             shards: (0..config.workers).map(|_| Mutex::new(Vec::new())).collect(),
             collected: Mutex::new(Report::default()),
-            pool: Arc::new(BufferPool::new()),
             arena_pool: Arc::new(ArenaPool::new()),
             shadow_pool: ShadowPool::new(config.workers),
             verdict_cache: config
@@ -620,15 +587,9 @@ impl Engine {
         self.queue_capacity
     }
 
-    /// The pool of recycled trace-record buffers. Sessions draw replacement
-    /// buffers from here; workers return each checked trace's buffer.
-    #[must_use]
-    pub fn buffer_pool(&self) -> &Arc<BufferPool> {
-        &self.shared.pool
-    }
-
-    /// The pool of recycled batch arenas. Batched sessions draw replacement
-    /// arenas from here; workers return each checked batch's arena.
+    /// The pool of recycled batch arenas. Batched sessions and standalone
+    /// submissions draw arenas from here; workers return each checked
+    /// batch's arena.
     #[must_use]
     pub fn arena_pool(&self) -> &Arc<ArenaPool> {
         &self.shared.arena_pool
@@ -753,18 +714,20 @@ impl Engine {
         pmtest_obs::AdvisorReport::from_profile(&self.profile())
     }
 
-    /// Submits one trace for asynchronous checking.
+    /// Submits one trace for asynchronous checking. Its packed records are
+    /// copied into a pooled arena, so the trace's own buffer is freed here.
     ///
     /// # Errors
     ///
     /// Returns [`SubmitError`] if the worker pool has terminated (the engine
     /// was shut down, or a worker panicked); the trace is dropped.
     pub fn submit(&self, trace: Trace) -> Result<(), SubmitError> {
-        self.dispatch(TraceBatch::One(trace))
+        self.dispatch(self.pooled_arena(std::slice::from_ref(&trace)))
     }
 
     /// Submits a batch of traces in one ring operation, paying the dispatch
-    /// cost once. An empty batch is a no-op.
+    /// cost once: their packed records are copied into one pooled arena,
+    /// each sealed under its own trace id. An empty batch is a no-op.
     ///
     /// # Errors
     ///
@@ -774,7 +737,16 @@ impl Engine {
         if traces.is_empty() {
             return Ok(());
         }
-        self.dispatch(TraceBatch::Many(traces))
+        self.dispatch(self.pooled_arena(&traces))
+    }
+
+    /// A recycled arena holding `traces`, one sealed span per trace.
+    fn pooled_arena(&self, traces: &[Trace]) -> TraceArena {
+        let mut arena = self.shared.arena_pool.acquire();
+        for trace in traces {
+            arena.push_trace(trace);
+        }
+        arena
     }
 
     /// Submits a sealed record arena — the batched session's zero-copy path.
@@ -790,22 +762,22 @@ impl Engine {
         if arena.sealed() == 0 {
             return Ok(());
         }
-        self.dispatch(TraceBatch::Arena(arena))
+        self.dispatch(arena)
     }
 
-    fn dispatch(&self, batch: TraceBatch) -> Result<(), SubmitError> {
+    fn dispatch(&self, arena: TraceArena) -> Result<(), SubmitError> {
         let plane = &self.shared.plane;
         if plane.is_dead() {
             return Err(SubmitError);
         }
-        let n = batch.len();
+        let n = arena.sealed() as u64;
         self.shared.outstanding.fetch_add(n, Ordering::AcqRel);
         let submitted = self.shared.telemetry.timing.then(Instant::now);
         // From here the accounting settles when `msg` drops — whether a
         // worker finishes it, a panicking checker abandons it, or a dead
         // plane discards it. No explicit rollback.
         let msg = BatchMsg {
-            traces: batch,
+            arena,
             accounting: BatchAccounting { shared: self.shared.clone(), n },
             submitted,
         };
@@ -1006,7 +978,7 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
         // Destructured so the accounting guard outlives the checking: a
         // panicking checker unwinds through it and the batch still retires
         // (otherwise `wait_idle` would block forever on the lost traces).
-        let BatchMsg { traces, accounting: _accounting, submitted } = msg;
+        let BatchMsg { arena, accounting: _accounting, submitted } = msg;
         let dequeued = submitted.map(|sent| {
             let now = Instant::now();
             let waited = now.duration_since(sent).as_nanos() as u64;
@@ -1027,63 +999,23 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
         }
         let span_replay = tracing.then(|| span.now_ns());
         let mut tally = BatchTally::default();
-        match traces {
-            TraceBatch::One(trace) => {
-                check_span(
-                    shared,
-                    idx,
-                    model,
-                    fast,
-                    trace.id(),
-                    trace.packed(),
-                    trace.len() as u32,
-                    &mut scratch,
-                    &mut resolver,
-                    &mut reports,
-                    &mut tally,
-                    wcache.as_mut(),
-                );
-                shared.pool.release(trace.into_packed());
-            }
-            TraceBatch::Many(traces) => {
-                for trace in traces {
-                    check_span(
-                        shared,
-                        idx,
-                        model,
-                        fast,
-                        trace.id(),
-                        trace.packed(),
-                        trace.len() as u32,
-                        &mut scratch,
-                        &mut resolver,
-                        &mut reports,
-                        &mut tally,
-                        wcache.as_mut(),
-                    );
-                    shared.pool.release(trace.into_packed());
-                }
-            }
-            TraceBatch::Arena(arena) => {
-                for (id, words, entries) in arena.traces() {
-                    check_span(
-                        shared,
-                        idx,
-                        model,
-                        fast,
-                        id,
-                        words,
-                        entries,
-                        &mut scratch,
-                        &mut resolver,
-                        &mut reports,
-                        &mut tally,
-                        wcache.as_mut(),
-                    );
-                }
-                shared.arena_pool.release(arena);
-            }
+        for (id, words, entries) in arena.traces() {
+            check_span(
+                shared,
+                idx,
+                model,
+                fast,
+                id,
+                words,
+                entries,
+                &mut scratch,
+                &mut resolver,
+                &mut reports,
+                &mut tally,
+                wcache.as_mut(),
+            );
         }
+        shared.arena_pool.release(arena);
         let replay_done = shared.telemetry.timing.then(Instant::now);
         if let (Some(from), Some(to)) = (replay_start, replay_done) {
             shared.telemetry.stage(Stage::Replay).record(to.duration_since(from).as_nanos() as u64);
@@ -1128,9 +1060,10 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
 /// * **Packed replay** — otherwise the full checker replays the records,
 ///   decoding one entry at a time on the stack ([`check_packed_with`]).
 /// * **Instrumented replay** — with the telemetry timing layer or the flight
-///   recorder on, entries are decoded up front and the checker loop is run
-///   manually so each entry's cost lands in its [`CheckerCategory`]
-///   histogram and each step can be captured.
+///   recorder on, the same packed walk runs with an [`Instrumented`]
+///   observer, so each entry's cost lands in its [`CheckerCategory`]
+///   histogram, each step can be captured, and the trace statistics fold
+///   as the walk goes.
 ///
 /// All three produce identical diagnostics (the clean lane only ever proves
 /// "none"). Results land in the worker's report buffer and the batch tally.
@@ -1192,32 +1125,21 @@ fn check_span(
     }
     let diags = if timing || recorder.is_some() {
         let started = Instant::now();
-        let fused = fast.is_some();
-        let decoded = decode_all(words);
-        let mut checker = TraceChecker::with_scratch(model.as_ref(), scratch);
-        let mut last = started;
-        for (index, entry) in decoded.iter().enumerate() {
-            checker.process(entry);
-            if timing {
-                let now = Instant::now();
-                shared
-                    .telemetry
-                    .checker_histogram(&entry.event)
-                    .record(now.duration_since(last).as_nanos() as u64);
-                last = now;
-            }
-            if let Some(rec) = recorder {
-                rec.record(capture_step(trace_id, index, entry, checker.shadow()));
-            }
-        }
-        let diags = checker.finish();
+        let mut observer = Instrumented {
+            telemetry: timing.then_some(&shared.telemetry),
+            recorder,
+            trace_id,
+            last: started,
+            stats: TraceStatsFold::default(),
+        };
+        let diags = check_packed_observed(words, model.as_ref(), scratch, resolver, &mut observer);
         if timing {
             let elapsed = started.elapsed().as_nanos() as u64;
             shared.telemetry.check_latency.record(elapsed);
-            if fused {
+            if fast.is_some() {
                 shared.telemetry.fused_replay.record(elapsed);
             }
-            shared.telemetry.worker_stats[idx].lock().merge(&TraceStats::from_entries(&decoded));
+            shared.telemetry.worker_stats[idx].lock().merge(&observer.stats.finish());
         }
         diags
     } else if fast.is_some_and(|f| packed_clean(f, words)) {
@@ -1267,6 +1189,35 @@ fn check_span(
         shared.telemetry.diag_counter(diag.kind).inc();
     }
     reports.push(TraceReport { trace_id, diags });
+}
+
+/// The instrumented lane's observer on the packed walk: per-entry checker
+/// latency and the trace-statistics fold when timing is on, a
+/// flight-recorder step per entry when the recorder is on.
+struct Instrumented<'a> {
+    /// `Some` when the timing layer is on.
+    telemetry: Option<&'a EngineTelemetry>,
+    recorder: Option<&'a FlightRecorder>,
+    trace_id: u64,
+    /// When the previous entry finished, for the per-entry latency.
+    last: Instant,
+    stats: TraceStatsFold,
+}
+
+impl ReplayObserver for Instrumented<'_> {
+    fn observe(&mut self, index: usize, entry: &Entry, checker: &TraceChecker<'_>) {
+        if let Some(telemetry) = self.telemetry {
+            let now = Instant::now();
+            telemetry
+                .checker_histogram(&entry.event)
+                .record(now.duration_since(self.last).as_nanos() as u64);
+            self.last = now;
+            self.stats.push(&entry.event);
+        }
+        if let Some(rec) = self.recorder {
+            rec.record(capture_step(self.trace_id, index, entry, checker.shadow()));
+        }
+    }
 }
 
 impl Drop for Engine {
@@ -1480,39 +1431,55 @@ mod tests {
         let _ = Engine::new(EngineConfig { workers: 0, ..EngineConfig::default() });
     }
 
+    /// `submit`, `submit_batch` and `submit_arena` all ship one sealed
+    /// arena; the same traces through each must report byte-identically —
+    /// empty traces included, which still get a `TraceReport`.
     #[test]
-    fn batch_submission_checks_every_trace() {
-        let engine = Engine::new(EngineConfig { workers: 3, ..EngineConfig::default() });
-        engine.submit_batch(Vec::new()).unwrap(); // no-op
-        engine.submit_batch((0..32).map(failing_trace).collect()).unwrap();
-        engine.submit_batch((32..64).map(clean_trace).collect()).unwrap();
-        let report = engine.take_report();
-        assert_eq!(report.traces().len(), 64);
-        assert_eq!(report.fail_count(), 32);
-        let ids: Vec<u64> = report.traces().iter().map(|t| t.trace_id).collect();
-        assert_eq!(ids, (0..64).collect::<Vec<_>>(), "merge is ordered by trace id");
-    }
-
-    #[test]
-    fn arena_submission_checks_every_sealed_trace() {
-        let engine = Engine::new(EngineConfig { workers: 2, ..EngineConfig::default() });
-        engine.submit_arena(TraceArena::new()).unwrap(); // no seals: no-op
-        let mut arena = TraceArena::new();
-        let r = ByteRange::with_len(0, 8);
-        for id in 0..10 {
-            arena.push(Event::Write(r).here());
-            arena.push(Event::IsPersist(r).here());
-            arena.seal(id);
+    fn every_submission_path_reports_the_same_bytes() {
+        let traces: Vec<Trace> = (0..40)
+            .map(|id| match id % 3 {
+                0 => failing_trace(id),
+                1 => clean_trace(id),
+                _ => Trace::new(id),
+            })
+            .collect();
+        let single = Engine::new(EngineConfig { workers: 2, ..EngineConfig::default() });
+        for trace in &traces {
+            single.submit(trace.clone()).unwrap();
         }
-        engine.submit_arena(arena).unwrap();
-        let report = engine.take_report();
-        assert_eq!(report.traces().len(), 10);
-        assert_eq!(report.fail_count(), 10);
-        let stats = engine.stats();
-        assert_eq!(stats.batches_submitted, 1, "empty arenas are not counted");
-        assert_eq!(stats.traces_submitted, 10);
-        // The checked arena went back to the pool.
-        assert_eq!(engine.arena_pool().stats().released, 1);
+        let batched = Engine::new(EngineConfig { workers: 3, ..EngineConfig::default() });
+        batched.submit_batch(Vec::new()).unwrap(); // no-op
+        for chunk in traces.chunks(16) {
+            batched.submit_batch(chunk.to_vec()).unwrap();
+        }
+        let arena_engine = Engine::new(EngineConfig { workers: 2, ..EngineConfig::default() });
+        arena_engine.submit_arena(TraceArena::new()).unwrap(); // no seals: no-op
+        let mut arena = TraceArena::new();
+        for trace in &traces {
+            for entry in trace.entries() {
+                arena.push(entry);
+            }
+            arena.seal(trace.id());
+        }
+        arena_engine.submit_arena(arena).unwrap();
+
+        let expected = single.take_report();
+        assert_eq!(expected.traces().len(), 40, "empty traces are reported too");
+        assert_eq!(expected.fail_count(), 14);
+        let ids: Vec<u64> = expected.traces().iter().map(|t| t.trace_id).collect();
+        assert_eq!(ids, (0..40).collect::<Vec<_>>(), "merge is ordered by trace id");
+        let json = expected.to_json_lines();
+        assert_eq!(batched.take_report().to_json_lines(), json);
+        assert_eq!(arena_engine.take_report().to_json_lines(), json);
+
+        let counts = |e: &Engine| (e.stats().batches_submitted, e.stats().traces_submitted);
+        assert_eq!(counts(&single), (40, 40));
+        assert_eq!(counts(&batched), (3, 40), "empty batches are not counted");
+        assert_eq!(counts(&arena_engine), (1, 40), "empty arenas are not counted");
+        // Every checked arena went back to the pool.
+        assert_eq!(single.arena_pool().stats().released, 40);
+        assert_eq!(batched.arena_pool().stats().released, 3);
+        assert_eq!(arena_engine.arena_pool().stats().released, 1);
     }
 
     #[test]
@@ -1540,19 +1507,6 @@ mod tests {
         let report = engine.take_report();
         assert_eq!(report.traces().len(), 200, "stalled submissions still deliver");
         assert!(engine.stats().backpressure_stalls > 0, "queue of 1 must have stalled");
-    }
-
-    #[test]
-    fn buffers_are_recycled_through_the_pool() {
-        let engine = Engine::new(EngineConfig::default());
-        for id in 0..50 {
-            engine.submit(clean_trace(id)).unwrap();
-        }
-        engine.wait_idle();
-        let stats = engine.buffer_pool().stats();
-        assert_eq!(stats.released, 50, "every checked trace returns its buffer");
-        let buf = engine.buffer_pool().acquire();
-        assert!(buf.is_empty(), "recycled buffer must be cleared");
     }
 
     #[test]
@@ -1599,7 +1553,7 @@ mod tests {
         assert!(not_persisted.labels.iter().any(|(k, v)| k == "severity" && v == "FAIL"));
         assert_eq!(snap.counter_sum("engine_diag_total"), 4, "no other kind fired");
         assert!(snap.gauge("engine_queue_depth").is_some(), "sampled on submit");
-        assert!(snap.gauge("pool_hit_rate").is_some());
+        assert!(snap.gauge("arena_pool_hit_rate").is_some());
         assert!(snap.counter("engine_ring_steals").is_some(), "ingest counters exported");
         assert!(snap.counter("engine_rings_registered").unwrap() >= 1);
         assert!(snap.gauge("engine_ring_occupancy").is_some());

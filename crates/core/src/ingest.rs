@@ -288,12 +288,17 @@ impl<T: Send> IngestPlane<T> {
             let mut guard = ring.space_lock.lock();
             ring.space.wait_for(&mut guard, FULL_RING_POLL);
         }
+        // Counted before the tail store publishes the slot: a consumer can
+        // claim (and subtract) the message the moment it is published.
+        let depth = ring.occupancy.fetch_add(n, Ordering::Relaxed) + n;
         ring.tail.store(t + 1, Ordering::Release);
         ring.pushed.fetch_add(1, Ordering::Relaxed);
-        let depth = ring.occupancy.fetch_add(n, Ordering::Relaxed) + n;
         ring.highwater.fetch_max(depth, Ordering::Relaxed);
         self.occupancy_highwater.fetch_max(depth, Ordering::Relaxed);
-        let pending = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
+        // `pending` must rise only after the publish (the wake handshake
+        // below depends on it), so a consumer may already have claimed this
+        // message and taken `pending` below zero: wrap, and the sum is exact.
+        let pending = self.pending.fetch_add(1, Ordering::SeqCst).wrapping_add(1);
         // Dekker handshake with the park path: workers enlist in `parked`
         // (bumping `sleepers`, SeqCst) before re-checking `pending`, so
         // either we see the sleeper here or it sees our pending increment.

@@ -337,16 +337,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Retained for replay harnesses (default: off). The sharded ingest
-    /// plane is per-producer FIFO and reports are sorted by trace id, so
-    /// results are reproducible regardless; this knob no longer changes
-    /// scheduling. See [`crate::EngineConfig::deterministic_dispatch`].
-    #[must_use]
-    pub fn deterministic_dispatch(mut self, on: bool) -> Self {
-        self.config.deterministic_dispatch = on;
-        self
-    }
-
     /// Enables the content-addressed verdict cache (default: off): repeated
     /// trace shapes are fingerprinted and their memoized verdict — same
     /// diagnostics, same profile deltas — replayed at hash-lookup cost. See

@@ -46,15 +46,15 @@ pub fn model_for(dialect: Dialect) -> Arc<dyn PersistencyModel> {
     }
 }
 
-/// Builds an engine for one matrix cell. Dispatch is deterministic so a
-/// replayed program reproduces the exact trace→worker schedule.
+/// Builds an engine for one matrix cell. Which worker checks which trace
+/// varies from run to run; the report does not, because it is sorted by
+/// trace id and each trace is checked on its own.
 #[must_use]
 pub fn build_engine(model: Arc<dyn PersistencyModel>, run: EngineRun) -> Engine {
     Engine::new(EngineConfig {
         model,
         workers: run.workers,
         queue_capacity: 64,
-        deterministic_dispatch: true,
         ..EngineConfig::default()
     })
 }
@@ -118,7 +118,6 @@ pub fn build_engine_cached(model: Arc<dyn PersistencyModel>, run: EngineRun) -> 
         model,
         workers: run.workers,
         queue_capacity: 64,
-        deterministic_dispatch: true,
         verdict_cache: VerdictCacheConfig { enabled: true, ..VerdictCacheConfig::default() },
         ..EngineConfig::default()
     })
@@ -207,7 +206,6 @@ pub fn capture_diagnosis_bundle(program: &Program) -> Result<String, String> {
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig {
             recorder_capacity: trace.len().max(1),
             ..TelemetryConfig::recorder_only()

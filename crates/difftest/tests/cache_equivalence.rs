@@ -68,7 +68,6 @@ fn profiled_run(seed: u64, cached: bool) -> (String, TraceStats) {
         model: model_for(program.dialect),
         workers: 2,
         queue_capacity: 64,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig::profiling_only(),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
     });
@@ -98,7 +97,6 @@ fn timed_stats(seed: u64, cached: bool) -> TraceStats {
         model: model_for(program.dialect),
         workers: 2,
         queue_capacity: 64,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig::timing_only(),
         verdict_cache: VerdictCacheConfig { enabled: cached, ..VerdictCacheConfig::default() },
     });
@@ -129,7 +127,6 @@ fn bundle_lines(seed: u64, cached: bool) -> String {
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig {
             recorder_capacity: trace.len().max(1),
             ..TelemetryConfig::recorder_only()

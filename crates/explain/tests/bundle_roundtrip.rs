@@ -13,7 +13,6 @@ fn recorder_engine(program: &pmtest_difftest::program::Program) -> Engine {
     Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers: 1,
-        deterministic_dispatch: true,
         telemetry: TelemetryConfig {
             recorder_capacity: program.ops.len().max(1),
             ..TelemetryConfig::recorder_only()

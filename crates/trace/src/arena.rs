@@ -1,16 +1,16 @@
-//! Arena-backed batch buffers: a session records straight into one
-//! contiguous packed-record arena, and shipping a batch hands the whole
-//! arena to the engine as a single pointer/offset move.
+//! Arena-backed trace batches: the one container every trace travels to
+//! the engine in.
 //!
-//! The old batched path built one `Vec<Entry>` per trace and shipped a
-//! `Vec<Trace>` — a heap buffer per trace plus an enum payload per entry.
-//! A [`TraceArena`] replaces that with two flat vectors: the packed words
-//! of every trace in the batch, back to back, and a small span index
+//! A [`TraceArena`] holds two flat vectors: the packed words of every trace
+//! in the batch, back to back, and a small span index
 //! `(id, start, records, entries)` marking where each sealed trace lives.
-//! Arenas are recycled through the pool in `crate::pool`, so steady-state
-//! recording never touches the allocator.
+//! A batched session records straight into one and ships it as a single
+//! pointer move; a standalone [`Trace`] is copied in with
+//! [`push_trace`](TraceArena::push_trace). Arenas are recycled through the
+//! pool in `crate::pool`, so steady-state recording never touches the
+//! allocator.
 
-use crate::event::Entry;
+use crate::event::{Entry, Trace};
 use crate::packed::{encode_into_interned, InternStats, LocInterner, PackedEntry};
 
 /// Where one sealed trace lives inside a [`TraceArena`].
@@ -101,6 +101,16 @@ impl TraceArena {
     pub fn push(&mut self, entry: Entry) {
         encode_into_interned(&mut self.words, entry, &mut self.interner);
         self.open_entries += 1;
+    }
+
+    /// Copies a standalone trace's packed records in and seals them as one
+    /// span under the trace's own id. An empty trace still yields a span,
+    /// so it is checked (and reported) like any other.
+    pub fn push_trace(&mut self, trace: &Trace) {
+        debug_assert_eq!(self.open_entries, 0, "push_trace onto an open region");
+        self.words.extend_from_slice(trace.packed());
+        self.open_entries = trace.len() as u32;
+        self.seal(trace.id());
     }
 
     /// Entries recorded into the open region since the last seal.
@@ -293,6 +303,20 @@ mod tests {
         let stats = arena.take_stats();
         assert!(stats.slab_allocs >= 1);
         assert_eq!(stats.interns.tls_hits + stats.interns.global, 1);
+    }
+
+    #[test]
+    fn push_trace_seals_each_trace_under_its_own_id() {
+        let mut t = Trace::new(4);
+        t.push(Event::Write(r(0, 8)).at(loc(1)));
+        t.push(Event::IsOrderedBefore(r(0, 8), r(8, 16)).at(loc(2)));
+        let mut arena = TraceArena::new();
+        arena.push_trace(&t);
+        arena.push_trace(&Trace::new(5));
+        let spans: Vec<_> = arena.traces().collect();
+        assert_eq!(spans.len(), 2, "an empty trace still seals a span");
+        assert_eq!((spans[0].0, spans[0].1, spans[0].2), (4, t.packed(), 2));
+        assert_eq!((spans[1].0, spans[1].1.len(), spans[1].2), (5, 0, 0));
     }
 
     #[test]

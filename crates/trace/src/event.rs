@@ -238,13 +238,6 @@ impl Trace {
         trace
     }
 
-    /// Creates a trace directly from packed records. `len` is the logical
-    /// entry count the records decode to.
-    #[must_use]
-    pub fn from_packed(id: u64, words: Vec<crate::PackedEntry>, len: u32) -> Self {
-        Self { id, len, words }
-    }
-
     /// The trace identifier (assigned in submission order).
     #[must_use]
     pub fn id(&self) -> u64 {
@@ -286,13 +279,6 @@ impl Trace {
     #[must_use]
     pub fn into_entries(self) -> Vec<Entry> {
         self.entries()
-    }
-
-    /// Consumes the trace, returning the packed record buffer (for
-    /// recycling through a pool).
-    #[must_use]
-    pub fn into_packed(self) -> Vec<crate::PackedEntry> {
-        self.words
     }
 }
 

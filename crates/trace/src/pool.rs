@@ -1,18 +1,13 @@
-//! Recycling pools for trace buffers and batch arenas.
+//! Recycling pool for batch arenas.
 //!
 //! Decoupled checking (Fig. 8) moves trace storage from the program thread
 //! to a checking worker on every `PMTest_SEND_TRACE`. Without recycling,
-//! each trace costs one heap allocation on the hot path plus one
-//! deallocation on a worker — and under the short traces of the paper's
-//! microbenchmarks (Fig. 10a) the allocator becomes a measurable fraction
-//! of the runtime overhead. The pools close that loop: workers return
-//! emptied storage here, and sessions draw replacements instead of
-//! allocating. Two instantiations exist:
-//!
-//! * [`BufferPool`] — `Vec<PackedEntry>` record buffers, backing
-//!   single-`Trace` submissions;
-//! * [`ArenaPool`] — [`TraceArena`] batch arenas, backing the session's
-//!   record-in-place batching.
+//! each batch costs heap allocations on the hot path plus deallocations on
+//! a worker — and under the short traces of the paper's microbenchmarks
+//! (Fig. 10a) the allocator becomes a measurable fraction of the runtime
+//! overhead. The pool closes that loop: workers return each checked
+//! [`TraceArena`] here, and sessions (and the engine's standalone-trace
+//! submissions) draw replacements instead of allocating.
 //!
 //! The free list is sharded to keep producers (many program threads) and
 //! consumers (worker threads) from serialising on one lock. Each shard is a
@@ -31,7 +26,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 
 use crate::arena::TraceArena;
-use crate::packed::PackedEntry;
 
 /// Number of independent free-list shards. A power of two so the rotating
 /// counter maps onto shards with a mask.
@@ -55,20 +49,6 @@ pub trait PoolItem: Default + Send {
     fn is_clear(&self) -> bool;
 }
 
-impl PoolItem for Vec<PackedEntry> {
-    fn recycle(&mut self) {
-        self.clear();
-    }
-
-    fn retained_capacity(&self) -> usize {
-        self.capacity()
-    }
-
-    fn is_clear(&self) -> bool {
-        self.is_empty()
-    }
-}
-
 impl PoolItem for TraceArena {
     fn recycle(&mut self) {
         self.clear();
@@ -83,20 +63,21 @@ impl PoolItem for TraceArena {
     }
 }
 
-/// A sharded free list of recyclable trace storage shared between sessions
-/// (which acquire) and engine workers (which release).
+/// A sharded free list of recyclable trace storage shared between
+/// submitters (which acquire) and engine workers (which release).
 ///
 /// # Examples
 ///
 /// ```
-/// use pmtest_trace::BufferPool;
+/// use pmtest_trace::{ArenaPool, Event, TraceArena};
 ///
-/// let pool = BufferPool::new();
-/// let mut buf = pool.acquire(); // fresh allocation: pool is empty
-/// buf.reserve(16);
-/// pool.release(buf);
-/// let buf = pool.acquire(); // recycled — and guaranteed empty
-/// assert!(buf.is_empty());
+/// let pool = ArenaPool::new();
+/// let mut arena = pool.acquire(); // fresh allocation: pool is empty
+/// arena.push(Event::Fence.here());
+/// arena.seal(0);
+/// pool.release(arena);
+/// let arena = pool.acquire(); // recycled — and guaranteed empty
+/// assert!(arena.is_empty());
 /// assert_eq!(pool.stats().recycled, 1);
 /// ```
 pub struct RecyclePool<T> {
@@ -112,10 +93,8 @@ pub struct RecyclePool<T> {
     dropped: AtomicU64,
 }
 
-/// Packed-record buffers for single-`Trace` submissions.
-pub type BufferPool = RecyclePool<Vec<PackedEntry>>;
-
-/// Batch arenas for the session's record-in-place batching.
+/// Batch arenas: the session's record-in-place batches and the engine's
+/// standalone-trace submissions.
 pub type ArenaPool = RecyclePool<TraceArena>;
 
 /// Lifetime counters of a [`RecyclePool`].
@@ -250,55 +229,64 @@ impl<T: PoolItem> std::fmt::Debug for RecyclePool<T> {
 mod tests {
     use super::*;
     use crate::event::Event;
-    use crate::packed::encode_into;
 
-    fn dirty_buffer(n: usize) -> Vec<PackedEntry> {
-        let mut buf = Vec::with_capacity(n.max(1));
-        for _ in 0..n {
-            encode_into(&mut buf, Event::Fence.here());
+    /// An arena of `records` fence records: one sealed span plus an open
+    /// tail, so a release has both kinds of state to clear.
+    fn dirty_arena(records: usize) -> TraceArena {
+        let mut arena = TraceArena::with_word_capacity(records.max(1));
+        for i in 0..records {
+            arena.push(Event::Fence.here());
+            if i == 0 {
+                arena.seal(7);
+            }
         }
-        buf
+        arena
     }
 
     #[test]
     fn acquire_from_empty_pool_allocates() {
-        let pool = BufferPool::new();
-        let buf = pool.acquire();
-        assert!(buf.is_empty());
+        let pool = ArenaPool::new();
+        let arena = pool.acquire();
+        assert!(arena.is_empty());
         assert_eq!(pool.stats().fresh, 1);
         assert_eq!(pool.stats().recycled, 0);
     }
 
     #[test]
-    fn released_buffers_come_back_empty() {
-        let pool = BufferPool::new();
-        pool.release(dirty_buffer(5));
-        let buf = pool.acquire();
-        assert!(buf.is_empty(), "recycled buffer leaked records");
-        assert!(buf.capacity() >= 5, "capacity should be retained");
+    fn released_arenas_come_back_empty() {
+        let pool = ArenaPool::new();
+        pool.release(dirty_arena(5));
+        let arena = pool.acquire();
+        assert!(arena.is_empty(), "recycled arena leaked records");
+        assert_eq!(arena.sealed(), 0, "recycled arena leaked spans");
+        assert_eq!(arena.open_entries(), 0, "recycled arena leaked its open tail");
+        assert!(arena.word_capacity() >= 5, "capacity should be retained");
         assert_eq!(pool.stats().recycled, 1);
     }
 
     #[test]
-    fn oversized_buffers_are_dropped() {
-        let pool = BufferPool::with_limits(16, 8);
-        pool.release(dirty_buffer(9)); // capacity > 8 → dropped
+    fn oversized_arenas_are_dropped() {
+        let pool = ArenaPool::new();
+        pool.release(dirty_arena(DEFAULT_MAX_ITEM_CAPACITY));
+        assert_eq!(pool.available(), 1, "an arena at the cap is kept");
+        pool.release(dirty_arena(DEFAULT_MAX_ITEM_CAPACITY + 1));
+        assert_eq!(pool.available(), 1, "an arena past the cap is dropped");
+        assert_eq!(pool.stats().dropped, 1);
+    }
+
+    #[test]
+    fn zero_capacity_arenas_are_not_pooled() {
+        let pool = ArenaPool::new();
+        pool.release(TraceArena::new());
         assert_eq!(pool.available(), 0);
         assert_eq!(pool.stats().dropped, 1);
     }
 
     #[test]
-    fn zero_capacity_buffers_are_not_pooled() {
-        let pool = BufferPool::new();
-        pool.release(Vec::new());
-        assert_eq!(pool.available(), 0);
-    }
-
-    #[test]
     fn retention_cap_is_enforced() {
-        let pool = BufferPool::with_limits(4, 1024);
+        let pool = ArenaPool::with_limits(4, 1024);
         for _ in 0..100 {
-            pool.release(dirty_buffer(2));
+            pool.release(dirty_arena(2));
         }
         // div_ceil rounds the per-shard cap up to 1, so at most SHARDS stay.
         assert!(pool.available() <= SHARDS);
@@ -307,42 +295,32 @@ mod tests {
 
     #[test]
     fn hit_rate_reflects_recycling() {
-        let pool = BufferPool::new();
+        let pool = ArenaPool::new();
         let a = pool.acquire(); // fresh
-        pool.release(dirty_buffer(3));
+        pool.release(dirty_arena(3));
         let _b = pool.acquire(); // recycled
         pool.release(a);
         let stats = pool.stats();
         assert_eq!(stats.fresh, 1);
         assert_eq!(stats.recycled, 1);
+        assert_eq!(stats.released, 2);
+        assert_eq!(stats.dropped, 1, "the fresh arena never grew a slab");
         assert!((stats.hit_rate() - 0.5).abs() < f64::EPSILON);
     }
 
     #[test]
-    fn arena_pool_recycles_cleared_arenas() {
-        let pool = ArenaPool::new();
-        let mut arena = pool.acquire();
-        arena.push(Event::Fence.here());
-        arena.seal(1);
-        pool.release(arena);
-        let arena = pool.acquire();
-        assert!(arena.is_empty(), "recycled arena leaked traces");
-        assert_eq!(arena.sealed(), 0);
-        assert_eq!(pool.stats().recycled, 1);
-    }
-
-    #[test]
     fn concurrent_producers_and_consumers() {
-        let pool = std::sync::Arc::new(BufferPool::new());
+        let pool = std::sync::Arc::new(ArenaPool::new());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let pool = pool.clone();
                 s.spawn(move || {
-                    for _ in 0..1_000 {
-                        let mut buf = pool.acquire();
-                        assert!(buf.is_empty());
-                        encode_into(&mut buf, Event::Fence.here());
-                        pool.release(buf);
+                    for i in 0..1_000 {
+                        let mut arena = pool.acquire();
+                        assert!(arena.is_empty());
+                        arena.push(Event::Fence.here());
+                        arena.seal(i);
+                        pool.release(arena);
                     }
                 });
             }

@@ -64,51 +64,14 @@ impl TraceStats {
         Self::from_entries(&trace.entries())
     }
 
-    /// Computes the statistics of one trace given as an entry slice (the
-    /// engine's already-decoded form).
+    /// Computes the statistics of one trace given as an entry slice.
     #[must_use]
     pub fn from_entries(entries: &[Entry]) -> Self {
-        let mut stats = TraceStats { entries: entries.len() as u64, ..TraceStats::default() };
-        let mut epoch_writes = 0u64;
+        let mut fold = TraceStatsFold::default();
         for entry in entries {
-            match entry.event {
-                Event::Write(r) => {
-                    stats.writes += 1;
-                    stats.bytes_written += r.len();
-                    epoch_writes += 1;
-                }
-                Event::Flush(r) => {
-                    stats.flushes += 1;
-                    stats.bytes_flushed += r.len();
-                }
-                Event::Fence => {
-                    stats.fences += 1;
-                    stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(epoch_writes);
-                    epoch_writes = 0;
-                }
-                Event::OFence => {
-                    stats.ofences += 1;
-                    stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(epoch_writes);
-                    epoch_writes = 0;
-                }
-                Event::DFence => {
-                    stats.dfences += 1;
-                    stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(epoch_writes);
-                    epoch_writes = 0;
-                }
-                Event::TxBegin => stats.transactions += 1,
-                Event::TxAdd(_) => stats.tx_adds += 1,
-                Event::TxCheckerStart => stats.tx_checker_scopes += 1,
-                Event::IsPersist(_) | Event::IsOrderedBefore(_, _) => {
-                    stats.low_level_checkers += 1;
-                }
-                Event::TxEnd | Event::TxCheckerEnd => {}
-                e if e.kind() == EventKind::Scope => stats.scope_events += 1,
-                _ => {}
-            }
+            fold.push(&entry.event);
         }
-        stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(epoch_writes);
-        stats
+        fold.finish()
     }
 
     /// Number of fence-delimited epochs (any fence flavour), counting the
@@ -140,6 +103,67 @@ impl TraceStats {
         self.scope_events += other.scope_events;
         self.entries += other.entries;
         self.max_writes_per_epoch = self.max_writes_per_epoch.max(other.max_writes_per_epoch);
+    }
+}
+
+/// The per-entry fold behind [`TraceStats::from_entries`], for walks that
+/// see a trace one entry at a time (the engine's instrumented replay)
+/// rather than as a slice.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TraceStatsFold {
+    stats: TraceStats,
+    /// Writes in the still-open epoch.
+    epoch_writes: u64,
+}
+
+impl TraceStatsFold {
+    /// Folds in the next entry's event, in program order.
+    pub fn push(&mut self, event: &Event) {
+        let stats = &mut self.stats;
+        stats.entries += 1;
+        match *event {
+            Event::Write(r) => {
+                stats.writes += 1;
+                stats.bytes_written += r.len();
+                self.epoch_writes += 1;
+            }
+            Event::Flush(r) => {
+                stats.flushes += 1;
+                stats.bytes_flushed += r.len();
+            }
+            Event::Fence => {
+                stats.fences += 1;
+                stats.max_writes_per_epoch =
+                    stats.max_writes_per_epoch.max(std::mem::take(&mut self.epoch_writes));
+            }
+            Event::OFence => {
+                stats.ofences += 1;
+                stats.max_writes_per_epoch =
+                    stats.max_writes_per_epoch.max(std::mem::take(&mut self.epoch_writes));
+            }
+            Event::DFence => {
+                stats.dfences += 1;
+                stats.max_writes_per_epoch =
+                    stats.max_writes_per_epoch.max(std::mem::take(&mut self.epoch_writes));
+            }
+            Event::TxBegin => stats.transactions += 1,
+            Event::TxAdd(_) => stats.tx_adds += 1,
+            Event::TxCheckerStart => stats.tx_checker_scopes += 1,
+            Event::IsPersist(_) | Event::IsOrderedBefore(_, _) => {
+                stats.low_level_checkers += 1;
+            }
+            Event::TxEnd | Event::TxCheckerEnd => {}
+            e if e.kind() == EventKind::Scope => stats.scope_events += 1,
+            _ => {}
+        }
+    }
+
+    /// The statistics of the entries folded so far, closing the open epoch.
+    #[must_use]
+    pub fn finish(self) -> TraceStats {
+        let mut stats = self.stats;
+        stats.max_writes_per_epoch = stats.max_writes_per_epoch.max(self.epoch_writes);
+        stats
     }
 }
 

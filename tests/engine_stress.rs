@@ -120,21 +120,29 @@ fn batched_sessions_with_many_threads_lose_nothing() {
     let session = PmTestSession::builder().workers(4).batch_capacity(16).queue_capacity(8).build();
     session.start();
     std::thread::scope(|s| {
-        for _ in 0..THREADS {
-            let session = session.clone();
-            s.spawn(move || {
-                session.thread_init();
-                for _ in 0..TRACES_PER_THREAD {
-                    let r = ByteRange::with_len(0, 8);
-                    session.record(Event::Write(r).here());
-                    session.record(Event::Flush(r).here());
-                    session.record(Event::Fence.here());
-                    session.is_persist(r);
-                    session.send_trace().expect("trace produced");
-                }
-                // 100 % 16 != 0: a partial batch is pending at thread exit
-                // and must be flushed by the slot destructor.
-            });
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let session = session.clone();
+                s.spawn(move || {
+                    session.thread_init();
+                    for _ in 0..TRACES_PER_THREAD {
+                        let r = ByteRange::with_len(0, 8);
+                        session.record(Event::Write(r).here());
+                        session.record(Event::Flush(r).here());
+                        session.record(Event::Fence.here());
+                        session.is_persist(r);
+                        session.send_trace().expect("trace produced");
+                    }
+                    // 100 % 16 != 0: a partial batch is pending at thread
+                    // exit and must be flushed by the slot destructor.
+                })
+            })
+            .collect();
+        // Join each handle explicitly: the scope exit itself only waits for
+        // the closures to return, which happens *before* TLS destructors —
+        // and the drop-flush under test runs in one.
+        for h in handles {
+            h.join().unwrap();
         }
     });
     let report = session.finish();
