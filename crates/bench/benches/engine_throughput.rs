@@ -78,14 +78,19 @@ const CACHED_PROBE_BUDGET_NS: f64 = 40.0;
 /// from the cache's own counters — not a timing number).
 const REP_HIT_RATE_MIN: f64 = 0.95;
 
-/// Telemetry-off budget against the *committed* baseline: with every
-/// telemetry layer disabled (the default), the w4/b32 session row's floor
-/// sample may not run more than this factor above the ns/trace recorded in
-/// the committed `bench_results/BENCH_engine.json` (its floor field when
-/// present, else its median). This is the guard that keeps the
-/// observability layers honest — "off" has to keep compiling down to a
-/// branch on an atomic. Same `PMTEST_BENCH_NO_ASSERT=1` escape hatch.
+/// Budget against the *committed* baseline: each [`GUARDED_ROWS`] w4/b32
+/// row's floor sample may not run more than this factor above the ns/trace
+/// recorded for it in the committed `bench_results/BENCH_engine.json` (its
+/// floor field when present, else its median). On the telemetry-off row
+/// this keeps the observability layers honest — "off" has to keep
+/// compiling down to a branch on an atomic; on the observed rows it keeps
+/// the layers' on-path cost from creeping back. Same
+/// `PMTEST_BENCH_NO_ASSERT=1` escape hatch.
 const BASELINE_SLACK: f64 = 1.05;
+
+/// The w4/b32 rows held to [`BASELINE_SLACK`] of their committed floors:
+/// telemetry off, every layer on, and the profiler alone.
+const GUARDED_ROWS: [&str; 3] = ["session", "session-telemetry", "session-profiling"];
 
 /// Records and submits one round of short traces from [`PRODUCERS`]
 /// threads, then drains the engine.
@@ -224,10 +229,10 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
         }
     }
     // A/B row: the reference w4/b32 configuration with every telemetry
-    // layer on (stage timing, event log, flight recorder, span tracing).
-    // Not part of the scaling assertion — it exists so the overhead of the
-    // observability plane is measured in every run, next to the off row it
-    // is compared against.
+    // layer on (stage timing, event log, flight recorder, span tracing,
+    // profiling). Not part of the scaling assertion — it prices the
+    // observability plane in every run, next to the off row it is compared
+    // against, and its floor is held to the committed one.
     {
         let session = PmTestSession::builder()
             .workers(4)
@@ -250,10 +255,9 @@ fn bench_matrix(c: &mut Criterion) -> Vec<Sample> {
         });
     }
     // A/B row: the reference configuration with only the cross-trace
-    // profiler on. The profiling decode walk runs on the replay path, so
-    // this row prices the advisor's data collection; the profiling-*off*
-    // guard is the plain w4/b32 row above, whose floor assertion keeps the
-    // disabled-path cost (one relaxed load) from regressing.
+    // profiler on. The profile fold rides the replay walk (or decodes a
+    // clean-lane trace once), so this row prices the advisor's data
+    // collection; the profiling-*off* guard is the plain w4/b32 row above.
     {
         let session = PmTestSession::builder()
             .workers(4)
@@ -645,81 +649,82 @@ fn assert_verdict_cache(samples: &[Sample], hit_rate: f64) {
     );
 }
 
-/// The w4/b32 session ns/trace recorded in the *committed*
+/// The w4/b32 ns/trace recorded for row `path` in the *committed*
 /// `bench_results/BENCH_engine.json`, read before this run overwrites it.
 /// Prefers the floor (`ns_per_trace_floor`) when the committed file carries
 /// one, falling back to the median for files written before the floor field
 /// existed. `None` when the file is missing or does not carry the row
 /// (first run on a fresh checkout).
-fn committed_baseline_w4_b32() -> Option<f64> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench_results/BENCH_engine.json");
-    let text = std::fs::read_to_string(path).ok()?;
+fn committed_w4_b32(path: &str) -> Option<f64> {
+    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench_results/BENCH_engine.json");
+    let text = std::fs::read_to_string(file).ok()?;
     let doc = pmtest_obs::json::parse(&text).ok()?;
     let rows = match doc.get("results")? {
         pmtest_obs::json::JsonValue::Array(rows) => rows,
         _ => return None,
     };
     let row = rows.iter().find(|r| {
-        r.get("path").and_then(|v| v.as_str()) == Some("session")
+        r.get("path").and_then(|v| v.as_str()) == Some(path)
             && r.get("workers").and_then(|v| v.as_f64()) == Some(4.0)
             && r.get("batch").and_then(|v| v.as_f64()) == Some(32.0)
     })?;
     row.get("ns_per_trace_floor").or_else(|| row.get("ns_per_trace")).and_then(|v| v.as_f64())
 }
 
-/// The telemetry-off A/B guard: the default-config w4/b32 row must stay
-/// within [`BASELINE_SLACK`] of the committed baseline, and the all-layers-on
-/// row is reported next to it so the overhead is visible in every run. The
-/// guarded number is the *floor* sample (see [`Sample`]): a 5% tolerance is
-/// tighter than this shared host's run-to-run median swing, and only the
-/// floor separates real added cost from a noisy neighbor.
-fn assert_telemetry_budget(samples: &[Sample], baseline: Option<f64>) {
+/// The telemetry A/B guard: every [`GUARDED_ROWS`] row must stay within
+/// [`BASELINE_SLACK`] of its committed baseline, and the observed rows are
+/// reported next to the off row so each layer's overhead is visible in
+/// every run. The guarded number is the *floor* sample (see [`Sample`]): a
+/// 5% tolerance is tighter than this shared host's run-to-run median swing,
+/// and only the floor separates real added cost from a noisy neighbor.
+fn assert_telemetry_budget(samples: &[Sample], baselines: &[(&str, Option<f64>)]) {
     let at =
         |path: &str| samples.iter().find(|s| s.path == path && s.workers == 4 && s.batch == 32);
     let Some(off) = at("session") else { return };
-    if let Some(on) = at("session-telemetry") {
-        println!(
-            "telemetry A/B at w4/b32: off {:.1} ns/trace, all layers on {:.1} ns/trace \
-             ({:+.1}%)",
-            off.ns_per_trace,
-            on.ns_per_trace,
-            (on.ns_per_trace / off.ns_per_trace - 1.0) * 100.0,
-        );
-    }
-    if let Some(on) = at("session-profiling") {
-        println!(
-            "profiling A/B at w4/b32: off {:.1} ns/trace, profiler on {:.1} ns/trace \
-             ({:+.1}%)",
-            off.ns_per_trace,
-            on.ns_per_trace,
-            (on.ns_per_trace / off.ns_per_trace - 1.0) * 100.0,
-        );
+    for (path, label) in
+        [("session-telemetry", "all layers on"), ("session-profiling", "profiler on")]
+    {
+        if let Some(on) = at(path) {
+            println!(
+                "{path} A/B at w4/b32: off {:.1} ns/trace, {label} {:.1} ns/trace \
+                 ({:.2}x; floors {:.1} vs {:.1}, {:.2}x)",
+                off.ns_per_trace,
+                on.ns_per_trace,
+                on.ns_per_trace / off.ns_per_trace,
+                off.floor_ns_per_trace,
+                on.floor_ns_per_trace,
+                on.floor_ns_per_trace / off.floor_ns_per_trace,
+            );
+        }
     }
     if std::env::var_os("PMTEST_BENCH_NO_ASSERT").is_some() {
-        println!("telemetry-off budget skipped (PMTEST_BENCH_NO_ASSERT)");
+        println!("telemetry budgets skipped (PMTEST_BENCH_NO_ASSERT)");
         return;
     }
-    let Some(base) = baseline else {
-        println!("telemetry-off budget skipped (no committed baseline row)");
-        return;
-    };
-    let floor = off.floor_ns_per_trace;
-    assert!(
-        floor <= base * BASELINE_SLACK,
-        "telemetry-off regression: {floor:.1} ns/trace (floor) at w4/b32 vs committed baseline \
-         {base:.1} (limit {:.1})",
-        base * BASELINE_SLACK,
-    );
-    println!(
-        "telemetry-off budget ok: {floor:.1} ns/trace (floor) at w4/b32 within {BASELINE_SLACK}x \
-         of committed {base:.1}"
-    );
+    for &(path, baseline) in baselines {
+        let Some(row) = at(path) else { continue };
+        let Some(base) = baseline else {
+            println!("{path} budget skipped (no committed baseline row)");
+            continue;
+        };
+        let floor = row.floor_ns_per_trace;
+        assert!(
+            floor <= base * BASELINE_SLACK,
+            "{path} regression: {floor:.1} ns/trace (floor) at w4/b32 vs committed baseline \
+             {base:.1} (limit {:.1})",
+            base * BASELINE_SLACK,
+        );
+        println!(
+            "{path} budget ok: {floor:.1} ns/trace (floor) at w4/b32 within {BASELINE_SLACK}x \
+             of committed {base:.1}"
+        );
+    }
 }
 
 fn engine_throughput(c: &mut Criterion) {
     let traces = traces_per_round();
-    // Read the committed baseline before write_json replaces the file.
-    let baseline = committed_baseline_w4_b32();
+    // Read the committed baselines before write_json replaces the file.
+    let baselines = GUARDED_ROWS.map(|path| (path, committed_w4_b32(path)));
     let samples = bench_matrix(c);
     for s in &samples {
         println!(
@@ -734,7 +739,7 @@ fn engine_throughput(c: &mut Criterion) {
     let (cache_json, hit_rate) = verdict_cache_sample(traces);
     write_json(&samples, traces, &cache_json);
     assert_scaling(&samples);
-    assert_telemetry_budget(&samples, baseline);
+    assert_telemetry_budget(&samples, &baselines);
     assert_verdict_cache(&samples, hit_rate);
 }
 

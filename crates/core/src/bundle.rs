@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 use pmtest_obs::json::escape_into;
-use pmtest_trace::{Entry, Event, IntervalNote, StepRecord};
+use pmtest_trace::{Event, IntervalNote, StepRecord};
 
 use crate::diag::{Diag, Severity};
 use crate::shadow::ShadowMemory;
@@ -55,26 +55,20 @@ pub struct DiagnosisBundle {
     pub steps: Vec<StepRecord>,
 }
 
-/// Build the step record for one replayed entry: the model's epoch counter
-/// plus the persist intervals touching the entry's own ranges.
-pub(crate) fn capture_step(
-    trace_id: u64,
-    index: usize,
-    entry: &Entry,
+/// Fills `intervals` with the persist intervals touching `event`'s own
+/// ranges — the flight recorder's annotation of one replayed entry, written
+/// straight into the ring slot the entry occupies.
+pub(crate) fn note_intervals(
+    intervals: &mut Vec<IntervalNote>,
+    event: &Event,
     shadow: &ShadowMemory,
-) -> StepRecord {
-    let mut intervals = Vec::new();
+) {
     let mut note = |range| {
-        for (sub, iv, write_loc) in shadow.persist_intervals(range) {
-            intervals.push(IntervalNote {
-                range: sub,
-                begin: iv.start(),
-                end: iv.end(),
-                write_loc,
-            });
-        }
+        intervals.extend(shadow.persist_intervals_iter(range).map(|(sub, iv, write_loc)| {
+            IntervalNote { range: sub, begin: iv.start(), end: iv.end(), write_loc }
+        }));
     };
-    match entry.event {
+    match *event {
         Event::Write(r)
         | Event::Flush(r)
         | Event::TxAdd(r)
@@ -93,7 +87,6 @@ pub(crate) fn capture_step(
         | Event::TxCheckerStart
         | Event::TxCheckerEnd => {}
     }
-    StepRecord { trace_id, index, entry: *entry, epoch: shadow.timestamp(), intervals }
 }
 
 /// The corpus-text token for an event (the dialect `pmtest-explain` and the

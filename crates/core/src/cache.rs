@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pmtest_obs::SiteDelta;
+use pmtest_obs::{Site, SiteDelta};
 use pmtest_trace::{Fingerprinter, PackedEntry, TraceFingerprint};
 
 use crate::diag::Diag;
@@ -82,9 +82,8 @@ pub struct CachedVerdict {
 
 /// The profiling layer's per-trace output: per-site operation/waste deltas
 /// plus `(site, code)` WARN attributions. Keys are `'static`, so the pair is
-/// storable and replayable verbatim via `ProfileStore::record_trace`.
-pub type ProfileDeltas =
-    (Vec<((&'static str, u32), SiteDelta)>, Vec<((&'static str, u32), &'static str)>);
+/// storable and replayable verbatim into a worker's `ProfileBatch`.
+pub type ProfileDeltas = (Vec<(Site, SiteDelta)>, Vec<(Site, &'static str)>);
 
 impl CachedVerdict {
     /// Builds a verdict, computing its resident-size estimate.
@@ -94,8 +93,8 @@ impl CachedVerdict {
         bytes += diags.capacity() * std::mem::size_of::<Diag>();
         bytes += diags.iter().map(|d| d.message.capacity()).sum::<usize>();
         if let Some((ops, warns)) = &profile {
-            bytes += ops.capacity() * std::mem::size_of::<((&'static str, u32), SiteDelta)>();
-            bytes += warns.capacity() * std::mem::size_of::<((&'static str, u32), &'static str)>();
+            bytes += ops.capacity() * std::mem::size_of::<(Site, SiteDelta)>();
+            bytes += warns.capacity() * std::mem::size_of::<(Site, &'static str)>();
         }
         Self { diags, profile, bytes }
     }

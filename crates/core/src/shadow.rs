@@ -249,12 +249,19 @@ impl ShadowMemory {
         &self,
         range: ByteRange,
     ) -> Vec<(ByteRange, EpochInterval, Option<SourceLoc>)> {
-        self.map
-            .overlapping(range)
-            .filter_map(|(sub, st)| {
-                st.persist.map(|p| (sub, p, st.write_loc.map(|id| self.locs.resolve(id))))
-            })
-            .collect()
+        self.persist_intervals_iter(range).collect()
+    }
+
+    /// [`persist_intervals`](Self::persist_intervals) without collecting —
+    /// for per-entry observers that copy the intervals somewhere of their
+    /// own.
+    pub(crate) fn persist_intervals_iter(
+        &self,
+        range: ByteRange,
+    ) -> impl Iterator<Item = (ByteRange, EpochInterval, Option<SourceLoc>)> + '_ {
+        self.map.overlapping(range).filter_map(move |(sub, st)| {
+            st.persist.map(|p| (sub, p, st.write_loc.map(|id| self.locs.resolve(id))))
+        })
     }
 
     /// Whether every written byte of `range` has a closed persist interval.

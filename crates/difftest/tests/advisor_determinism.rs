@@ -2,35 +2,86 @@
 //! site-keyed global store, so the emitted `pmtest-advisor/v1` document must
 //! be *byte-identical* across every worker count and batch size — otherwise
 //! run-over-run advisor diffs (`pmtest-explain --advise-diff`) would report
-//! phantom regressions that are really scheduling noise.
+//! phantom regressions that are really scheduling noise. The other
+//! observing layers (timing, the flight recorder) and the verdict cache
+//! change which lane feeds the profile, never what it holds: every
+//! configuration must match the profiling-only document and profile.
 //!
 //! Regenerate the committed golden (only when the advisor format or scoring
 //! is *intentionally* changed) with:
 //! `PMTEST_BLESS=1 cargo test -p pmtest-difftest --test advisor_determinism`
 
-use pmtest_core::{Engine, EngineConfig, TelemetryConfig};
+use pmtest_core::{Engine, EngineConfig, TelemetryConfig, VerdictCacheConfig};
 use pmtest_difftest::exec::{model_for, submit_replicas, REPLICAS};
 use pmtest_difftest::gen::{generate, GenConfig};
 use pmtest_difftest::program::{Dialect, Op, Program};
-use pmtest_obs::advisor;
+use pmtest_obs::{advisor, ProfileSnapshot};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const BATCH_CAPACITIES: [usize; 2] = [1, 32];
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/advisor_matrix.json");
 
+/// One profiled engine configuration of the matrix.
+#[derive(Clone, Copy, Debug)]
+enum Layers {
+    /// The profiler alone.
+    ProfilingOnly,
+    /// Every telemetry layer (`TelemetryConfig::enabled`).
+    All,
+    /// Timing, flight recorder and profiler: the instrumented walk.
+    TimingRecorderProfiling,
+    /// The profiler behind the verdict cache.
+    ProfilingCached,
+}
+
+impl Layers {
+    const ALL: [Layers; 4] = [
+        Layers::ProfilingOnly,
+        Layers::All,
+        Layers::TimingRecorderProfiling,
+        Layers::ProfilingCached,
+    ];
+
+    fn telemetry(self) -> TelemetryConfig {
+        match self {
+            Layers::ProfilingOnly | Layers::ProfilingCached => TelemetryConfig::profiling_only(),
+            Layers::All => TelemetryConfig::enabled(),
+            Layers::TimingRecorderProfiling => TelemetryConfig {
+                timing: true,
+                recorder: true,
+                profiling: true,
+                ..TelemetryConfig::off()
+            },
+        }
+    }
+}
+
 /// Runs the program through one profiling matrix cell and returns the
-/// emitted advisor document.
-fn advisor_json(program: &Program, workers: usize, batch_capacity: usize) -> String {
+/// emitted advisor document with the profile it ranks.
+fn profiled(
+    program: &Program,
+    workers: usize,
+    batch_capacity: usize,
+    layers: Layers,
+) -> (String, ProfileSnapshot) {
     let engine = Engine::new(EngineConfig {
         model: model_for(program.dialect),
         workers,
         queue_capacity: 64,
-        telemetry: TelemetryConfig::profiling_only(),
-        ..EngineConfig::default()
+        telemetry: layers.telemetry(),
+        verdict_cache: VerdictCacheConfig {
+            enabled: matches!(layers, Layers::ProfilingCached),
+            ..VerdictCacheConfig::default()
+        },
     });
     submit_replicas(&engine, program, batch_capacity, REPLICAS, 0).expect("submit replicas");
     engine.wait_idle();
-    engine.advisor_report().to_json()
+    (engine.advisor_report().to_json(), engine.profile())
+}
+
+/// The profiling-only advisor document of one matrix cell.
+fn advisor_json(program: &Program, workers: usize, batch_capacity: usize) -> String {
+    profiled(program, workers, batch_capacity, Layers::ProfilingOnly).0
 }
 
 /// A fixed program planting every wasteful shape the profiler scores: a
@@ -59,17 +110,25 @@ fn advisor_json_is_byte_identical_across_the_matrix() {
     let mut programs = vec![wasteful_program()];
     programs.extend([0u64, 7, 42].into_iter().map(|seed| generate(seed, &cfg)));
     for (i, program) in programs.iter().enumerate() {
-        let baseline = advisor_json(program, WORKER_COUNTS[0], BATCH_CAPACITIES[0]);
+        let (baseline, profile) =
+            profiled(program, WORKER_COUNTS[0], BATCH_CAPACITIES[0], Layers::ProfilingOnly);
         advisor::validate(&baseline)
             .unwrap_or_else(|e| panic!("program {i}: baseline document invalid: {e}"));
-        for workers in WORKER_COUNTS {
-            for batch_capacity in BATCH_CAPACITIES {
-                let cell = advisor_json(program, workers, batch_capacity);
-                assert_eq!(
-                    cell, baseline,
-                    "program {i}: {workers} workers / batch {batch_capacity} \
-                     diverged from the 1/1 advisor document"
-                );
+        for layers in Layers::ALL {
+            for workers in WORKER_COUNTS {
+                for batch_capacity in BATCH_CAPACITIES {
+                    let (cell, cell_profile) = profiled(program, workers, batch_capacity, layers);
+                    assert_eq!(
+                        cell, baseline,
+                        "program {i}: {layers:?} at {workers} workers / batch \
+                         {batch_capacity} diverged from the profiling-only 1/1 advisor document"
+                    );
+                    assert_eq!(
+                        cell_profile, profile,
+                        "program {i}: {layers:?} at {workers} workers / batch \
+                         {batch_capacity} diverged from the profiling-only 1/1 profile"
+                    );
+                }
             }
         }
     }

@@ -548,11 +548,19 @@ fn want_array<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::ProfileStore;
+    use crate::profile::{ProfileBatch, ProfileStore, Site};
+
+    /// Folds one trace into `store` as a batch of one.
+    fn record(store: &ProfileStore, ops: &[(Site, SiteDelta)], warns: &[(Site, &'static str)]) {
+        let mut batch = ProfileBatch::default();
+        batch.add_trace(ops, warns);
+        store.absorb(&mut batch);
+    }
 
     fn sample_profile() -> ProfileSnapshot {
         let store = ProfileStore::new();
-        store.record_trace(
+        record(
+            &store,
             &[
                 (
                     ("src/queue.rs", 155),
@@ -647,7 +655,8 @@ mod tests {
         let old = AdvisorReport::from_profile(&sample_profile());
         let store = ProfileStore::new();
         // queue.rs:155 got worse; ctree.rs:177 was fixed; queue.rs:160 unchanged.
-        store.record_trace(
+        record(
+            &store,
             &[
                 (
                     ("src/queue.rs", 155),

@@ -65,8 +65,8 @@ pub mod writer;
 
 pub use advisor::{AdvisorReport, Suggestion, SuggestionKind};
 pub use events::{EventLog, EventRecord, Field, SpanGuard};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use profile::{ProfileSnapshot, ProfileStore, SiteDelta, SiteProfile};
+pub use metrics::{Counter, Gauge, Histogram, LocalHistogram, MetricsRegistry};
+pub use profile::{ProfileBatch, ProfileSnapshot, ProfileStore, Site, SiteDelta, SiteProfile};
 pub use scrape::{ScrapeServer, SnapshotSource};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, TelemetrySnapshot};
 pub use spans::{SpanDump, SpanHandle, SpanRecord, SpanSink, DEFAULT_SPAN_CAPACITY};

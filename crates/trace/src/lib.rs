@@ -53,6 +53,6 @@ pub use packed::{
     PACKED_ENTRY_BYTES,
 };
 pub use pool::{ArenaPool, PoolItem, PoolStats, RecyclePool};
-pub use recorder::{FlightRecorder, IntervalNote, StepRecord};
+pub use recorder::{FlightRecorder, IntervalNote, RecorderRing, StepRecord};
 pub use sink::{CountingSink, MemorySink, NullSink, SharedSink, Sink};
 pub use stats::{TraceStats, TraceStatsFold};
