@@ -1,5 +1,6 @@
 use std::cell::RefCell;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -20,7 +21,7 @@ use crate::checker::{
     check_packed_observed, check_packed_with, packed_clean, CheckerScratch, ReplayObserver,
     TraceChecker,
 };
-use crate::diag::{Diag, Report, Severity, TraceReport};
+use crate::diag::{Diag, DiagKind, Report, Severity, TraceReport};
 use crate::ingest::{IngestPlane, ProducerRing, WorkerGuard};
 use crate::model::{BuiltinModel, PersistencyModel, X86Model};
 use crate::telemetry::{EngineTelemetry, ProfileFold, Stage, TelemetryConfig, TimingFold};
@@ -132,10 +133,11 @@ pub fn derived_queue_capacity(batch_capacity: usize) -> usize {
     (256 / batch_capacity.max(1)).clamp(32, 256)
 }
 
-/// Pool of recycled [`CheckerScratch`] instances shared by the workers.
+/// Pool of recycled [`CheckerScratch`] instances shared by the checker
+/// seats.
 ///
-/// A worker takes one scratch per received batch and returns it afterwards,
-/// so the pool never holds more instances than there are workers — but the
+/// A seat takes one scratch per claimed batch and returns it afterwards,
+/// so the pool never holds more instances than there are seats — but the
 /// shadow memory, transaction log tree, and interner *allocations* inside
 /// each instance survive indefinitely. Together with the [`ArenaPool`] this
 /// removes the last per-trace allocation from the steady-state checking
@@ -193,7 +195,8 @@ impl ShadowPool {
 /// traces — this pipelining is the second half of the paper's performance
 /// story (§3.2, "Runtime Testing"). [`Engine::wait_idle`] is the
 /// `PMTest_GET_RESULT` barrier: it blocks until every submitted trace has
-/// been checked.
+/// been checked, and the waiting thread checks queued batches itself on
+/// the engine's extra checker seat before it sleeps.
 ///
 /// Four mechanisms keep the submission path cheap (Fig. 12's scalability
 /// depends on all of them):
@@ -211,9 +214,9 @@ impl ShadowPool {
 ///   [`submit_batch`](Self::submit_batch) copy standalone traces into a
 ///   pooled one. Workers check the packed records in place without decoding
 ///   them into `Entry` vectors.
-/// * **Sharded results** — each worker appends finished [`TraceReport`]s to
-///   its own shard; shards merge only when a report is requested, so workers
-///   never contend on a global results lock.
+/// * **Sharded results** — each checker seat appends finished
+///   [`TraceReport`]s to its own shard; shards merge only when a report is
+///   requested, so checkers never contend on a global results lock.
 /// * **Storage recycling** — workers return arenas and checker scratch
 ///   state to pools that sessions and later batches draw from, keeping the
 ///   steady-state path off the allocator.
@@ -236,7 +239,6 @@ impl ShadowPool {
 /// ```
 pub struct Engine {
     shared: Arc<Shared>,
-    workers: usize,
     queue_capacity: usize,
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Live HTTP scrape endpoint, present when
@@ -247,14 +249,27 @@ pub struct Engine {
 }
 
 struct Shared {
+    /// The persistency model whose checking rules every seat applies.
+    model: Arc<dyn PersistencyModel>,
+    /// The model's fused hot path, if it is a built-in one.
+    fast: Option<BuiltinModel>,
+    /// Configured worker threads. Seats `0..workers` are theirs; seat
+    /// `workers` is the waiter's.
+    workers: usize,
     /// Traces submitted but not yet checked. Producers only touch this
     /// atomic (plus their own ring), keeping `submit` off the result shards.
     outstanding: AtomicU64,
     /// The sharded ingest plane: per-producer rings plus the worker
     /// wake/steal protocol.
     plane: Arc<IngestPlane<BatchMsg>>,
-    /// Per-worker result shards; worker `i` writes only `shards[i]`.
+    /// Per-seat result shards; seat `i` writes only `shards[i]`.
     shards: Vec<Mutex<Vec<TraceReport>>>,
+    /// The waiter's seat, taken with `try_lock` by a thread blocked in
+    /// [`Engine::wait_idle`] so it checks queued batches instead of
+    /// sleeping. `None` once a checker panic on it retired the seat.
+    waiter: Mutex<Option<Seat>>,
+    /// Batches checked on the waiter's seat.
+    waiter_batches: AtomicU64,
     /// Results merged out of the shards so far, kept sorted by trace id.
     /// Drained by [`Engine::take_report`], appended to by every report
     /// request — so [`Engine::report`] clones an already-built [`Report`]
@@ -264,10 +279,10 @@ struct Shared {
     /// (acquire).
     arena_pool: Arc<ArenaPool>,
     /// Checker scratch state (shadow memory, tx scope, interner) recycled
-    /// across batches, one instance held per busy worker.
+    /// across batches, one instance held per busy seat.
     shadow_pool: ShadowPool,
     /// Shared L2 of the content-addressed verdict cache; `None` unless
-    /// [`VerdictCacheConfig::enabled`]. Workers keep their L1s privately.
+    /// [`VerdictCacheConfig::enabled`]. Seats keep their L1s privately.
     verdict_cache: Option<VerdictCache>,
     idle_lock: Mutex<()>,
     idle: Condvar,
@@ -280,19 +295,17 @@ struct Shared {
     /// event ring). Always present; whether clocks are read depends on
     /// [`TelemetryConfig::timing`].
     telemetry: EngineTelemetry,
-    /// Per-worker flight recorders. Empty unless
+    /// Per-seat flight recorders. Empty unless
     /// [`TelemetryConfig::recorder`] is on, so the off path never touches
     /// them (`recorders.get(idx)` is `None`).
     recorders: Vec<FlightRecorder>,
     /// Diagnosis bundles captured on ERROR, drained by
-    /// [`Engine::take_bundles`]. Bounded at [`MAX_BUNDLES`]; captures past
-    /// the bound increment `bundles_dropped` instead of growing the queue.
+    /// [`Engine::take_bundles`], kept sorted by trace id. Bounded at
+    /// [`MAX_BUNDLES`]: a full queue keeps the lowest trace ids, and every
+    /// capture it turns away or evicts increments `bundles_dropped`.
     bundles: Mutex<Vec<DiagnosisBundle>>,
     /// ERROR bundles discarded because the bundle queue was full.
     bundles_dropped: AtomicU64,
-    /// Name of the configured persistency model, for bundle headers built
-    /// outside the workers ([`Engine::capture_bundle`]).
-    model_name: String,
     /// Crash points visited by exploration sweeps recorded on this engine
     /// ([`Engine::record_exploration`]).
     explore_points: AtomicU64,
@@ -306,7 +319,9 @@ struct Shared {
 
 /// Most ERROR bundles retained between [`Engine::take_bundles`] drains. One
 /// failing checker in a loop would otherwise buffer a window of every
-/// iteration; the first failures are the interesting ones.
+/// iteration; the earliest failures (lowest trace ids) are the interesting
+/// ones, and keeping them by id rather than by arrival makes the retained
+/// set independent of which seat checked what first.
 const MAX_BUNDLES: usize = 16;
 
 /// One producer thread's registration with one engine's ingest plane. Lives
@@ -375,6 +390,7 @@ impl Shared {
     fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut snap = self.telemetry.snapshot();
         let stats = self.stats();
+        let plane = &self.plane;
         snap.push_counter("engine_traces_checked", &[], stats.traces_checked);
         snap.push_counter("engine_entries_processed", &[], stats.entries_processed);
         snap.push_counter("engine_diagnostics", &[], stats.diagnostics);
@@ -393,8 +409,13 @@ impl Shared {
             &[],
             self.bundles_dropped.load(Ordering::Relaxed),
         );
-        snap.push_gauge("engine_workers", &[], self.shards.len() as f64);
-        let plane = &self.plane;
+        snap.push_counter(
+            "engine_waiter_batches",
+            &[],
+            self.waiter_batches.load(Ordering::Relaxed),
+        );
+        snap.push_counter("engine_checker_panics", &[], plane.checker_panics());
+        snap.push_gauge("engine_workers", &[], self.workers as f64);
         snap.push_gauge("engine_ring_occupancy", &[], plane.current_occupancy() as f64);
         snap.push_gauge("engine_rings_live", &[], plane.rings_live() as f64);
         for (i, ring) in plane.ring_stats().iter().enumerate() {
@@ -513,13 +534,21 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         assert!(config.workers > 0, "engine needs at least one worker");
         assert!(config.queue_capacity > 0, "engine queue capacity must be positive");
-        let shared = Arc::new(Shared {
+        let workers = config.workers;
+        // One seat per worker thread plus the waiter's.
+        let seats = workers + 1;
+        let mut shared = Shared {
+            fast: config.model.builtin(),
+            model: config.model,
+            workers,
             outstanding: AtomicU64::new(0),
-            plane: Arc::new(IngestPlane::new(config.workers, config.queue_capacity)),
-            shards: (0..config.workers).map(|_| Mutex::new(Vec::new())).collect(),
+            plane: Arc::new(IngestPlane::new(workers, config.queue_capacity)),
+            shards: (0..seats).map(|_| Mutex::new(Vec::new())).collect(),
+            waiter: Mutex::new(None),
+            waiter_batches: AtomicU64::new(0),
             collected: Mutex::new(Report::default()),
             arena_pool: Arc::new(ArenaPool::new()),
-            shadow_pool: ShadowPool::new(config.workers),
+            shadow_pool: ShadowPool::new(seats),
             verdict_cache: config
                 .verdict_cache
                 .enabled
@@ -531,9 +560,9 @@ impl Engine {
             diagnostics: AtomicU64::new(0),
             batches_submitted: AtomicU64::new(0),
             traces_submitted: AtomicU64::new(0),
-            telemetry: EngineTelemetry::new(config.workers, &config.telemetry),
+            telemetry: EngineTelemetry::new(seats, &config.telemetry),
             recorders: if config.telemetry.recorder {
-                (0..config.workers)
+                (0..seats)
                     .map(|_| FlightRecorder::new(config.telemetry.recorder_capacity))
                     .collect()
             } else {
@@ -541,19 +570,20 @@ impl Engine {
             },
             bundles: Mutex::new(Vec::new()),
             bundles_dropped: AtomicU64::new(0),
-            model_name: config.model.name().to_owned(),
             explore_points: AtomicU64::new(0),
             explore_images: AtomicU64::new(0),
             explore_share_hits: AtomicU64::new(0),
             explore_share_misses: AtomicU64::new(0),
-        });
-        let mut handles = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
+        };
+        let waiter = Seat::new(&shared, workers);
+        *shared.waiter.get_mut() = Some(waiter);
+        let shared = Arc::new(shared);
+        let mut handles = Vec::with_capacity(workers);
+        for i in 0..workers {
             let shared = shared.clone();
-            let model = config.model.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("pmtest-worker-{i}"))
-                .spawn(move || worker_loop(&shared, i, &model))
+                .spawn(move || worker_loop(&shared, i))
                 .expect("spawn pmtest worker");
             handles.push(handle);
         }
@@ -568,19 +598,13 @@ impl Engine {
             ScrapeServer::bind(addr, source)
                 .unwrap_or_else(|e| panic!("bind telemetry scrape endpoint {addr}: {e}"))
         });
-        Self {
-            shared,
-            workers: config.workers,
-            queue_capacity: config.queue_capacity,
-            handles: Mutex::new(handles),
-            scrape,
-        }
+        Self { shared, queue_capacity: config.queue_capacity, handles: Mutex::new(handles), scrape }
     }
 
     /// Number of worker threads.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
+        self.shared.workers
     }
 
     /// Per-producer ring depth, in batches (whatever
@@ -609,7 +633,7 @@ impl Engine {
 
     /// Counter snapshot of the verdict cache — `None` unless
     /// [`VerdictCacheConfig::enabled`] was set at construction. Hit tallies
-    /// settle per worker batch, so read after [`wait_idle`](Self::wait_idle)
+    /// settle per checked batch, so read after [`wait_idle`](Self::wait_idle)
     /// for exact counts.
     #[must_use]
     pub fn verdict_cache_stats(&self) -> Option<VerdictCacheStats> {
@@ -692,9 +716,11 @@ impl Engine {
         crate::telemetry::summary_line(&self.telemetry_snapshot())
     }
 
-    /// Aggregated [`TraceStats`] per worker — how checker-dense and
-    /// epoch-dense each worker's share of the workload was. All zeros unless
-    /// [`TelemetryConfig::timing`] is on. Workers fold their statistics in
+    /// Aggregated [`TraceStats`] per seat — how checker-dense and
+    /// epoch-dense each checker's share of the workload was: one entry per
+    /// worker, then the waiter's (the traces checked inside
+    /// [`wait_idle`](Self::wait_idle)). All zeros unless
+    /// [`TelemetryConfig::timing`] is on. Seats fold their statistics in
     /// once per batch, so mid-batch reads lag by at most that batch.
     #[must_use]
     pub fn worker_trace_stats(&self) -> Vec<TraceStats> {
@@ -852,17 +878,29 @@ impl Engine {
 
     /// Blocks until every submitted trace has been checked
     /// (`PMTest_GET_RESULT`, §4.2).
+    ///
+    /// The calling thread does not just sleep: it first takes the engine's
+    /// waiter seat and checks queued batches itself — claimed from any
+    /// ring, without affinity — until nothing is left to claim, and only
+    /// then blocks until the workers finish what they hold. A w1 engine
+    /// therefore drains on up to two threads here. One waiting thread
+    /// checks at a time; others just block. A checker panic on the waiter
+    /// seat never reaches the caller: it is caught and counted
+    /// (`engine_checker_panics`), the batch it was checking is lost like a
+    /// dying worker's, and the seat is retired, so later waits on this
+    /// engine only block.
     pub fn wait_idle(&self) {
         if self.shared.outstanding.load(Ordering::Acquire) == 0 {
             return;
         }
+        self.shared.help_drain();
         let mut guard = self.shared.idle_lock.lock();
         while self.shared.outstanding.load(Ordering::Acquire) > 0 {
             self.shared.idle.wait(&mut guard);
         }
     }
 
-    /// Merges every worker shard into the accumulated, sorted [`Report`].
+    /// Merges every seat's shard into the accumulated, sorted [`Report`].
     /// Callers must already hold no shard or collected lock.
     fn drain_shards(&self) -> parking_lot::MutexGuard<'_, Report> {
         let mut collected = self.shared.collected.lock();
@@ -872,7 +910,8 @@ impl Engine {
         collected
     }
 
-    /// Waits for all outstanding traces, then returns a copy of every result
+    /// Waits for all outstanding traces (helping check them, see
+    /// [`wait_idle`](Self::wait_idle)), then returns a copy of every result
     /// so far (results keep accumulating). The accumulated report is kept
     /// merged and sorted between calls, so each call clones only once — for
     /// read-only access without even that clone, use
@@ -899,10 +938,12 @@ impl Engine {
         std::mem::take(&mut *self.drain_shards())
     }
 
-    /// Drains the diagnosis bundles captured so far (one per ERROR trace
-    /// while [`TelemetryConfig::recorder`] is on, bounded at 16 between
-    /// drains — the counterexamples that matter are the first ones).
-    /// Returns an empty vec when the recorder is off.
+    /// Drains the diagnosis bundles captured so far, sorted by trace id:
+    /// one per ERROR trace while [`TelemetryConfig::recorder`] is on,
+    /// bounded at 16 between drains. A full queue keeps the 16 *lowest*
+    /// trace ids — the earliest counterexamples — whichever seat checked
+    /// them first, so the result is deterministic. Returns an empty vec
+    /// when the recorder is off.
     #[must_use]
     pub fn take_bundles(&self) -> Vec<DiagnosisBundle> {
         self.wait_idle();
@@ -910,18 +951,21 @@ impl Engine {
     }
 
     /// ERROR bundles discarded because more than 16 traces failed between
-    /// [`take_bundles`](Self::take_bundles) drains.
+    /// [`take_bundles`](Self::take_bundles) drains: every failure beyond
+    /// the 16 lowest trace ids, whether turned away or evicted by a lower
+    /// id that was checked later.
     #[must_use]
     pub fn bundles_dropped(&self) -> u64 {
         self.shared.bundles_dropped.load(Ordering::Relaxed)
     }
 
     /// On-demand capture: waits for the pipeline to drain, then freezes
-    /// every worker's current flight-recorder window into a
-    /// [`BundleReason::Manual`] bundle (one per worker that has recorded
-    /// anything). Unlike the automatic ERROR path this does not require a
-    /// failing checker — use it to inspect interval state of a passing run.
-    /// Empty when the recorder is off.
+    /// every seat's current flight-recorder window into a
+    /// [`BundleReason::Manual`] bundle — one per seat that has recorded
+    /// anything, workers first and the waiter's last. Unlike the automatic
+    /// ERROR path this does not require a failing checker — use it to
+    /// inspect interval state of a passing run. Empty when the recorder is
+    /// off.
     #[must_use]
     pub fn capture_bundle(&self) -> Vec<DiagnosisBundle> {
         self.wait_idle();
@@ -932,7 +976,7 @@ impl Engine {
                 let steps = rec.window();
                 let last = steps.last()?;
                 Some(DiagnosisBundle::from_window(
-                    &self.shared.model_name,
+                    self.shared.model.name(),
                     BundleReason::Manual,
                     last.trace_id,
                     Vec::new(),
@@ -954,132 +998,185 @@ impl Engine {
     }
 }
 
-/// Tallies a worker accumulates across one batch, settled into the shared
+/// Tallies a seat accumulates across one batch, settled into the shared
 /// atomics with one `fetch_add` each per batch instead of per trace.
 #[derive(Default)]
 struct BatchTally {
     traces: u64,
     entries: u64,
-    diags: u64,
+    /// Diagnostics per kind, indexed like [`DiagKind::ALL`].
+    diag_kinds: [u64; DiagKind::ALL.len()],
+}
+
+/// One checker's private state. Each worker thread owns a seat for its
+/// life; the engine's last seat belongs to whichever thread is waiting in
+/// [`Engine::wait_idle`]. `idx` is the seat's index into the per-seat
+/// `shards`, `recorders`, `worker_stats` and `worker_busy`.
+struct Seat {
+    idx: usize,
+    resolver: LocResolver,
+    reports: Vec<TraceReport>,
+    /// This seat's verdict-cache front end (fingerprinter + private L1),
+    /// present only when the engine carries the shared L2.
+    wcache: Option<WorkerCache>,
+    /// One span buffer per seat (tid = seat index). Registration is the
+    /// only allocation; with the tracing layer off the sink defers even
+    /// that, and every record is one relaxed load and a taken branch.
+    span: SpanHandle,
+    /// The observed lane's accumulators, present only when a layer that
+    /// watches the replay (timing, recorder, profiling) is on.
+    observed: Option<Box<ObservedLane>>,
+}
+
+impl Seat {
+    fn new(shared: &Shared, idx: usize) -> Self {
+        Self {
+            idx,
+            resolver: LocResolver::new(),
+            reports: Vec::new(),
+            wcache: shared.verdict_cache.as_ref().map(|_| WorkerCache::new()),
+            span: shared.telemetry.spans.register(idx as u64),
+            observed: ObservedLane::new(shared).map(Box::new),
+        }
+    }
 }
 
 /// One worker thread: claim batches off the ingest plane (affinity rings
-/// first, then stealing), check each trace's packed records in place, and
-/// file results. Exits when the plane is closed and drained; the guard marks
-/// the plane dead if this is the last worker out (normal exit or panic).
-fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyModel>) {
+/// first, then stealing) and check them on the worker's seat. Exits when
+/// the plane is closed and drained; the guard marks the plane dead if this
+/// is the last worker out (normal exit or panic).
+fn worker_loop(shared: &Arc<Shared>, idx: usize) {
     let _guard = WorkerGuard::new(shared.plane.clone());
-    let fast = model.builtin();
-    let mut resolver = LocResolver::new();
-    let mut reports: Vec<TraceReport> = Vec::new();
-    // This worker's verdict-cache front end (fingerprinter + private L1),
-    // present only when the engine carries the shared L2.
-    let mut wcache: Option<WorkerCache> = shared.verdict_cache.as_ref().map(|_| WorkerCache::new());
-    // One span buffer per worker (tid = worker index). Registration is the
-    // only allocation; with the tracing layer off the sink defers even that,
-    // and every record below is one relaxed load and a taken-branch.
-    let span: SpanHandle = shared.telemetry.spans.register(idx as u64);
-    // The observed lane's accumulators, present only when a layer that
-    // watches the replay (timing, recorder, profiling) is on.
-    let mut observed = ObservedLane::new(shared).map(Box::new);
+    let mut seat = Seat::new(shared, idx);
     while let Some((msg, _n)) = shared.plane.next_batch(idx) {
-        // Re-checked per batch: the sink can be toggled at runtime.
-        let tracing = span.enabled();
-        // Destructured so the accounting guard outlives the checking: a
-        // panicking checker unwinds through it and the batch still retires
-        // (otherwise `wait_idle` would block forever on the lost traces).
-        let BatchMsg { arena, accounting: _accounting, submitted } = msg;
-        let dequeued = submitted.map(|sent| {
-            let now = Instant::now();
-            let waited = now.duration_since(sent).as_nanos() as u64;
-            shared.telemetry.dispatch_latency.record(waited);
-            shared.telemetry.stage(Stage::RingWait).record(waited);
-            now
-        });
-        let span_claim = tracing.then(|| span.now_ns());
-        // One recycled scratch serves the whole batch; it is reset (not
-        // reallocated) between traces.
-        let mut scratch = shared.shadow_pool.acquire();
-        let replay_start = shared.telemetry.timing.then(Instant::now);
-        if let (Some(from), Some(to)) = (dequeued, replay_start) {
-            shared
-                .telemetry
-                .stage(Stage::ClaimReplay)
-                .record(to.duration_since(from).as_nanos() as u64);
-        }
-        let span_replay = tracing.then(|| span.now_ns());
-        let mut tally = BatchTally::default();
-        if let Some(lane) = observed.as_deref_mut() {
-            for (id, words, entries) in arena.traces() {
-                check_span_observed(
-                    shared,
-                    idx,
-                    model,
-                    fast,
-                    id,
-                    words,
-                    entries,
-                    &mut scratch,
-                    &mut resolver,
-                    &mut reports,
-                    &mut tally,
-                    wcache.as_mut(),
-                    lane,
-                );
+        check_batch(shared, &mut seat, msg);
+    }
+}
+
+impl Shared {
+    /// The barrier's share of the checking: on the waiter seat, claims
+    /// queued batches from any ring and checks them until nothing is left
+    /// to claim. Returns at once if another thread holds the seat or a
+    /// checker panic retired it, and stops once the worker pool is dead —
+    /// its queued batches are being discarded, not checked. A panic is
+    /// caught here, so it never reaches the waiting caller: the batch's
+    /// accounting settles as its message unwinds, the seat's partial folds
+    /// are discarded with it, and the seat is retired.
+    fn help_drain(&self) {
+        let Some(mut waiter) = self.waiter.try_lock() else { return };
+        while let Some(seat) = waiter.as_mut() {
+            if self.plane.is_dead() {
+                return;
             }
-        } else {
-            for (id, words, entries) in arena.traces() {
-                check_span(
-                    shared,
-                    model,
-                    fast,
-                    id,
-                    words,
-                    entries,
-                    &mut scratch,
-                    &mut resolver,
-                    &mut reports,
-                    &mut tally,
-                    wcache.as_mut(),
-                );
+            let Some((msg, _n)) = self.plane.try_claim(None) else { return };
+            if catch_unwind(AssertUnwindSafe(|| check_batch(self, seat, msg))).is_err() {
+                *waiter = None;
+                self.plane.note_checker_panic();
+                return;
             }
+            self.waiter_batches.fetch_add(1, Ordering::Relaxed);
         }
-        shared.arena_pool.release(arena);
-        let replay_done = shared.telemetry.timing.then(Instant::now);
-        if let (Some(from), Some(to)) = (replay_start, replay_done) {
-            shared.telemetry.stage(Stage::Replay).record(to.duration_since(from).as_nanos() as u64);
+    }
+}
+
+/// Checks one claimed batch on `seat`: every trace's packed records in
+/// place, then the batch's results and tallies filed in one settlement.
+/// The one per-batch body behind both a worker's loop and the waiter.
+fn check_batch(shared: &Shared, seat: &mut Seat, msg: BatchMsg) {
+    let idx = seat.idx;
+    // Re-checked per batch: the sink can be toggled at runtime.
+    let tracing = seat.span.enabled();
+    // Destructured so the accounting guard outlives the checking: a
+    // panicking checker unwinds through it and the batch still retires
+    // (otherwise `wait_idle` would block forever on the lost traces).
+    let BatchMsg { arena, accounting: _accounting, submitted } = msg;
+    let dequeued = submitted.map(|sent| {
+        let now = Instant::now();
+        let waited = now.duration_since(sent).as_nanos() as u64;
+        shared.telemetry.dispatch_latency.record(waited);
+        shared.telemetry.stage(Stage::RingWait).record(waited);
+        now
+    });
+    let span_claim = tracing.then(|| seat.span.now_ns());
+    // One recycled scratch serves the whole batch; it is reset (not
+    // reallocated) between traces.
+    let mut scratch = shared.shadow_pool.acquire();
+    let replay_start = shared.telemetry.timing.then(Instant::now);
+    if let (Some(from), Some(to)) = (dequeued, replay_start) {
+        shared
+            .telemetry
+            .stage(Stage::ClaimReplay)
+            .record(to.duration_since(from).as_nanos() as u64);
+    }
+    let span_replay = tracing.then(|| seat.span.now_ns());
+    let mut tally = BatchTally::default();
+    if let Some(lane) = seat.observed.as_deref_mut() {
+        for (id, words, entries) in arena.traces() {
+            check_span_observed(
+                shared,
+                idx,
+                id,
+                words,
+                entries,
+                &mut scratch,
+                &mut seat.resolver,
+                &mut seat.reports,
+                &mut tally,
+                seat.wcache.as_mut(),
+                lane,
+            );
         }
-        let span_merge = tracing.then(|| span.now_ns());
-        shared.telemetry.segmap_repr_switches.add(scratch.take_repr_switch_delta());
-        shared.shadow_pool.release(scratch);
-        // Batched settlement: one fetch_add per counter per batch. The
-        // observed lane's folds land first, so once `traces_checked` covers
-        // a trace its timing and profile are visible too.
-        if let (Some(cache), Some(wc)) = (shared.verdict_cache.as_ref(), wcache.as_mut()) {
-            cache.flush_tally(&mut wc.tally);
+    } else {
+        for (id, words, entries) in arena.traces() {
+            check_span(
+                shared,
+                id,
+                words,
+                entries,
+                &mut scratch,
+                &mut seat.resolver,
+                &mut seat.reports,
+                &mut tally,
+                seat.wcache.as_mut(),
+            );
         }
-        if let Some(lane) = observed.as_deref_mut() {
-            lane.settle(shared, idx);
-        }
-        shared.traces_checked.fetch_add(tally.traces, Ordering::Relaxed);
-        shared.entries_processed.fetch_add(tally.entries, Ordering::Relaxed);
-        shared.diagnostics.fetch_add(tally.diags, Ordering::Relaxed);
-        if !reports.is_empty() {
-            shared.shards[idx].lock().append(&mut reports);
-        }
-        if let Some(from) = replay_done {
-            shared.telemetry.stage(Stage::ReportMerge).record(from.elapsed().as_nanos() as u64);
-        }
-        if let (Some(claim), Some(replay), Some(merge)) = (span_claim, span_replay, span_merge) {
-            let names = shared.telemetry.span_names;
-            let end = span.now_ns();
-            span.record(names.claim, claim, replay.saturating_sub(claim));
-            span.record(names.replay, replay, merge.saturating_sub(replay));
-            span.record(names.merge, merge, end.saturating_sub(merge));
-        }
-        if let Some(start) = dequeued {
-            shared.telemetry.worker_busy[idx].add(start.elapsed().as_nanos() as u64);
-        }
+    }
+    shared.arena_pool.release(arena);
+    let replay_done = shared.telemetry.timing.then(Instant::now);
+    if let (Some(from), Some(to)) = (replay_start, replay_done) {
+        shared.telemetry.stage(Stage::Replay).record(to.duration_since(from).as_nanos() as u64);
+    }
+    let span_merge = tracing.then(|| seat.span.now_ns());
+    shared.telemetry.segmap_repr_switches.add(scratch.take_repr_switch_delta());
+    shared.shadow_pool.release(scratch);
+    // Batched settlement: one fetch_add per counter per batch. The
+    // observed lane's folds land first, so once `traces_checked` covers a
+    // trace its timing and profile are visible too.
+    if let (Some(cache), Some(wc)) = (shared.verdict_cache.as_ref(), seat.wcache.as_mut()) {
+        cache.flush_tally(&mut wc.tally);
+    }
+    if let Some(lane) = seat.observed.as_deref_mut() {
+        lane.settle(shared, idx);
+    }
+    shared.telemetry.count_diags(&tally.diag_kinds);
+    shared.traces_checked.fetch_add(tally.traces, Ordering::Relaxed);
+    shared.entries_processed.fetch_add(tally.entries, Ordering::Relaxed);
+    shared.diagnostics.fetch_add(tally.diag_kinds.iter().sum(), Ordering::Relaxed);
+    if !seat.reports.is_empty() {
+        shared.shards[idx].lock().append(&mut seat.reports);
+    }
+    if let Some(from) = replay_done {
+        shared.telemetry.stage(Stage::ReportMerge).record(from.elapsed().as_nanos() as u64);
+    }
+    if let (Some(claim), Some(replay), Some(merge)) = (span_claim, span_replay, span_merge) {
+        let names = shared.telemetry.span_names;
+        let end = seat.span.now_ns();
+        seat.span.record(names.claim, claim, replay.saturating_sub(claim));
+        seat.span.record(names.replay, replay, merge.saturating_sub(replay));
+        seat.span.record(names.merge, merge, end.saturating_sub(merge));
+    }
+    if let Some(start) = dequeued {
+        shared.telemetry.worker_busy[idx].add(start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -1104,8 +1201,6 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize, model: &Arc<dyn PersistencyMode
 #[allow(clippy::too_many_arguments)]
 fn check_span(
     shared: &Shared,
-    model: &Arc<dyn PersistencyModel>,
-    fast: Option<BuiltinModel>,
     trace_id: u64,
     words: &[PackedEntry],
     entries: u32,
@@ -1120,27 +1215,26 @@ fn check_span(
         let fp = wc.fingerprint(words);
         if let Some(verdict) = wc.lookup(cache, fp, false) {
             let diags = verdict.diags.clone();
-            file_report(shared, reports, tally, trace_id, entries, diags);
+            file_report(reports, tally, trace_id, entries, diags);
             return;
         }
         miss = Some((cache, wc, fp));
     }
-    let diags = if fast.is_some_and(|f| packed_clean(f, words)) {
+    let diags = if shared.fast.is_some_and(|f| packed_clean(f, words)) {
         Vec::new()
     } else {
-        check_packed_with(words, model.as_ref(), scratch, resolver)
+        check_packed_with(words, shared.model.as_ref(), scratch, resolver)
     };
     if let Some((cache, wc, fp)) = miss {
         wc.install(cache, fp, CachedVerdict::new(diags.clone(), None));
     }
-    file_report(shared, reports, tally, trace_id, entries, diags);
+    file_report(reports, tally, trace_id, entries, diags);
 }
 
-/// Files one checked trace: the batch tally, the per-kind diagnostic
-/// counters and the worker's report buffer.
+/// Files one checked trace: the batch tally (with its per-kind diagnostic
+/// counts) and the seat's report buffer.
 #[inline]
 fn file_report(
-    shared: &Shared,
     reports: &mut Vec<TraceReport>,
     tally: &mut BatchTally,
     trace_id: u64,
@@ -1149,14 +1243,13 @@ fn file_report(
 ) {
     tally.traces += 1;
     tally.entries += u64::from(entries);
-    tally.diags += diags.len() as u64;
     for diag in &diags {
-        shared.telemetry.diag_counter(diag.kind).inc();
+        tally.diag_kinds[diag.kind as usize] += 1;
     }
     reports.push(TraceReport { trace_id, diags });
 }
 
-/// One worker's state for the observed lane: the timing layer's and the
+/// One seat's state for the observed lane: the timing layer's and the
 /// profiler's accumulators (each present only when its layer is on). Both
 /// fill per entry and per trace without touching shared state, and
 /// [`settle`](Self::settle) folds them into the engine once per batch — so
@@ -1178,7 +1271,7 @@ impl ObservedLane {
     }
 
     /// Folds the batch's observations into the shared histograms,
-    /// per-worker statistics and profile store.
+    /// per-seat statistics and profile store.
     fn settle(&mut self, shared: &Shared, idx: usize) {
         if let Some(timing) = &mut self.timing {
             timing.drain_into(&shared.telemetry, idx);
@@ -1212,8 +1305,6 @@ impl ObservedLane {
 fn check_span_observed(
     shared: &Shared,
     idx: usize,
-    model: &Arc<dyn PersistencyModel>,
-    fast: Option<BuiltinModel>,
     trace_id: u64,
     words: &[PackedEntry],
     entries: u32,
@@ -1237,12 +1328,13 @@ fn check_span_observed(
                     fold.replay(deltas);
                 }
                 let diags = verdict.diags.clone();
-                file_report(shared, reports, tally, trace_id, entries, diags);
+                file_report(reports, tally, trace_id, entries, diags);
                 return;
             }
             miss = Some((cache, wc, fp));
         }
     }
+    let fast = shared.fast;
     let diags = if !instrumented && fast.is_some_and(|f| packed_clean(f, words)) {
         if let Some(fold) = lane.profile.as_mut() {
             fold.push_packed(words, resolver);
@@ -1256,14 +1348,15 @@ fn check_span_observed(
             trace_id,
             profile: lane.profile.as_mut(),
         };
-        let diags = check_packed_observed(words, model.as_ref(), scratch, resolver, &mut observer);
+        let diags =
+            check_packed_observed(words, shared.model.as_ref(), scratch, resolver, &mut observer);
         let Instrumented { clock, ring, .. } = observer;
         if let (Some((timing, _)), Some(started)) = (clock, started) {
             timing.end_trace(started.elapsed().as_nanos() as u64, fast.is_some());
         }
         if let Some(ring) = ring {
             if diags.iter().any(|d| d.severity() == Severity::Fail) {
-                file_bundle(shared, model.name(), trace_id, &diags, &ring);
+                file_bundle(shared, trace_id, &diags, &ring);
             }
         }
         diags
@@ -1272,31 +1365,40 @@ fn check_span_observed(
     if let Some((cache, wc, fp)) = miss {
         wc.install(cache, fp, CachedVerdict::new(diags.clone(), memo));
     }
-    file_report(shared, reports, tally, trace_id, entries, diags);
+    file_report(reports, tally, trace_id, entries, diags);
 }
 
-/// Files an ERROR bundle for a failing trace from its steps in the worker's
-/// recorder ring. The bundle cap is checked under the queue lock first, so
-/// a full queue costs one lock and a counter, not a window copy.
-fn file_bundle(shared: &Shared, model: &str, trace_id: u64, diags: &[Diag], ring: &RecorderRing) {
+/// Files an ERROR bundle for a failing trace from its steps in the seat's
+/// recorder ring, keeping the queue sorted by trace id. The cap is checked
+/// under the queue lock first, so a failure the full queue turns away costs
+/// one lock and a counter, not a window copy; a lower id than the queue's
+/// highest evicts that one.
+fn file_bundle(shared: &Shared, trace_id: u64, diags: &[Diag], ring: &RecorderRing) {
     let mut bundles = shared.bundles.lock();
-    if bundles.len() < MAX_BUNDLES {
-        bundles.push(DiagnosisBundle::from_window(
-            model,
+    if bundles.len() >= MAX_BUNDLES {
+        shared.bundles_dropped.fetch_add(1, Ordering::Relaxed);
+        if bundles.last().is_some_and(|b| b.trace_id <= trace_id) {
+            return;
+        }
+        bundles.pop();
+    }
+    let at = bundles.partition_point(|b| b.trace_id <= trace_id);
+    bundles.insert(
+        at,
+        DiagnosisBundle::from_window(
+            shared.model.name(),
             BundleReason::Error,
             trace_id,
             diags.to_vec(),
             ring.steps_of(trace_id),
-        ));
-    } else {
-        shared.bundles_dropped.fetch_add(1, Ordering::Relaxed);
-    }
+        ),
+    );
 }
 
 /// The instrumented lane's observer on the packed walk: with timing on, a
-/// clock read per entry charged to the worker's [`TimingFold`]; with the
+/// clock read per entry charged to the seat's [`TimingFold`]; with the
 /// recorder on, a step written into the ring (locked once for the trace);
-/// with profiling on, the entry pushed into the worker's [`ProfileFold`].
+/// with profiling on, the entry pushed into the seat's [`ProfileFold`].
 struct Instrumented<'a> {
     /// The timing fold and when the previous entry finished.
     clock: Option<(&'a mut TimingFold, Instant)>,
@@ -1336,7 +1438,7 @@ impl Drop for Engine {
 impl fmt::Debug for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
-            .field("workers", &self.workers)
+            .field("workers", &self.shared.workers)
             .field("outstanding", &self.shared.outstanding.load(Ordering::Relaxed))
             .field("stats", &self.stats())
             .finish()
@@ -1701,9 +1803,10 @@ mod tests {
         assert!(snap.counter("engine_rings_registered").unwrap() >= 1);
         assert!(snap.gauge("engine_ring_occupancy").is_some());
         // Timing layer off: histograms exist but hold no observations, and
-        // the per-worker trace stats stay zero.
+        // the per-seat trace stats (the worker's, then the waiter's) stay
+        // zero.
         assert_eq!(snap.histogram("engine_check_latency_ns").unwrap().count, 0);
-        assert_eq!(engine.worker_trace_stats(), vec![TraceStats::default()]);
+        assert_eq!(engine.worker_trace_stats(), vec![TraceStats::default(); 2]);
         assert!(engine.telemetry_summary().contains("timing off"));
     }
 
@@ -1717,7 +1820,9 @@ mod tests {
         let snap = engine.telemetry_snapshot();
         let recycled = snap.counter("shadow_pool_recycled").unwrap_or(0);
         let fresh = snap.counter("shadow_pool_fresh").unwrap();
-        assert_eq!(fresh, 1, "one worker allocates scratch state exactly once");
+        // The worker and the waiter (when `wait_idle` found batches queued)
+        // each allocate at most once.
+        assert!((1..=2).contains(&fresh), "at most one allocation per seat, got {fresh}");
         assert_eq!(recycled + fresh, 50, "one acquisition per single-trace batch");
         let hit = snap.gauge("shadow_pool_hit_rate").unwrap();
         assert!(hit > 0.9, "steady state must recycle, hit rate {hit}");
@@ -1948,6 +2053,8 @@ mod tests {
         assert!(metrics.starts_with("HTTP/1.1 200"), "{metrics}");
         assert!(metrics.contains("engine_traces_checked 3"), "{metrics}");
         assert!(metrics.contains("engine_bundles_dropped 0"), "{metrics}");
+        assert!(metrics.contains("engine_checker_panics 0"), "{metrics}");
+        assert!(metrics.contains("engine_waiter_batches "), "{metrics}");
         assert!(metrics.contains("engine_stage_ns"), "stage histograms are exported");
         let json = get("/snapshot.json");
         assert!(json.contains("application/json"), "{json}");
@@ -1996,6 +2103,283 @@ mod tests {
         ) {
             panic!("model deliberately kills the worker");
         }
+    }
+
+    /// x86 rules through the dynamic path, with a gate that holds a worker
+    /// thread at the first entry it checks until a thread that is not a
+    /// worker — the waiter — checks one (or 10 s pass, so a waiter that
+    /// never helps fails the test instead of hanging it). A test can queue
+    /// batches behind a held worker and so make the waiter claim them.
+    /// With `panic_off_worker` the waiter's checks panic (after opening the
+    /// gate).
+    #[derive(Debug, Default)]
+    struct HeldWorkerModel {
+        panic_off_worker: bool,
+        open: parking_lot::Mutex<bool>,
+        opened: Condvar,
+        /// Times a worker has been held at the closed gate.
+        held: AtomicU64,
+    }
+
+    impl HeldWorkerModel {
+        fn panicking_off_worker() -> Self {
+            Self { panic_off_worker: true, ..Self::default() }
+        }
+
+        fn set_open(&self, open: bool) {
+            *self.open.lock() = open;
+            self.opened.notify_all();
+        }
+
+        /// Blocks until a worker has been held `n` times in all.
+        fn wait_held(&self, n: u64) {
+            while self.held.load(Ordering::SeqCst) < n {
+                std::thread::yield_now();
+            }
+        }
+
+        fn visit(&self) {
+            let on_worker = std::thread::current()
+                .name()
+                .is_some_and(|name| name.starts_with("pmtest-worker-"));
+            if on_worker {
+                let mut open = self.open.lock();
+                if !*open {
+                    self.held.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + std::time::Duration::from_secs(10);
+                    while !*open {
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if self.opened.wait_for(&mut open, left).timed_out() {
+                            // Nobody came: let every later entry through.
+                            *open = true;
+                        }
+                    }
+                }
+            } else {
+                self.set_open(true);
+                assert!(!self.panic_off_worker, "model deliberately panics off the workers");
+            }
+        }
+    }
+
+    impl PersistencyModel for HeldWorkerModel {
+        fn name(&self) -> &str {
+            "x86"
+        }
+
+        fn apply(
+            &self,
+            shadow: &mut crate::shadow::ShadowMemory,
+            entry: &pmtest_trace::Entry,
+            diags: &mut Vec<crate::diag::Diag>,
+        ) {
+            self.visit();
+            X86Model::new().apply(shadow, entry, diags);
+        }
+
+        fn check_persist(
+            &self,
+            shadow: &crate::shadow::ShadowMemory,
+            range: ByteRange,
+            loc: pmtest_trace::SourceLoc,
+            diags: &mut Vec<crate::diag::Diag>,
+        ) {
+            self.visit();
+            X86Model::new().check_persist(shadow, range, loc, diags);
+        }
+
+        fn check_ordered_before(
+            &self,
+            shadow: &crate::shadow::ShadowMemory,
+            first: ByteRange,
+            second: ByteRange,
+            loc: pmtest_trace::SourceLoc,
+            diags: &mut Vec<crate::diag::Diag>,
+        ) {
+            self.visit();
+            X86Model::new().check_ordered_before(shadow, first, second, loc, diags);
+        }
+    }
+
+    /// A clean-persisting trace with a duplicate flush: one WARN.
+    fn warning_trace(id: u64) -> Trace {
+        let mut t = Trace::new(id);
+        let r = ByteRange::with_len(id * 128, 8);
+        t.push(Event::Write(r).here());
+        t.push(Event::Flush(r).here());
+        t.push(Event::Flush(r).here());
+        t.push(Event::Fence.here());
+        t
+    }
+
+    /// Every `engine_diag_total` reading, by kind code.
+    fn diag_totals(engine: &Engine) -> Vec<(String, u64)> {
+        let snap = engine.telemetry_snapshot();
+        let code = |c: &pmtest_obs::CounterSnapshot| {
+            c.labels.iter().find(|(k, _)| k == "code").map(|(_, v)| v.clone()).unwrap_or_default()
+        };
+        snap.counters
+            .iter()
+            .filter(|c| c.name == "engine_diag_total")
+            .map(|c| (code(c), c.value))
+            .collect()
+    }
+
+    #[test]
+    fn waiting_thread_checks_queued_batches_and_changes_nothing() {
+        let telemetry = TelemetryConfig { timing: true, recorder: true, ..TelemetryConfig::off() };
+        let model = Arc::new(HeldWorkerModel::default());
+        let engine = Engine::new(EngineConfig {
+            model: model.clone(),
+            telemetry: telemetry.clone(),
+            ..EngineConfig::default()
+        });
+        let reference = Engine::new(EngineConfig { telemetry, ..EngineConfig::default() });
+        // Six batches of eight: 24 failing traces (more than the bundle
+        // cap), 16 warning ones and 8 clean ones.
+        let batch = |b: u64| -> Vec<Trace> {
+            (b * 8..b * 8 + 8)
+                .map(|id| match id % 6 {
+                    0 | 2 | 4 => failing_trace_at(id),
+                    1 | 3 => warning_trace(id),
+                    _ => clean_trace(id),
+                })
+                .collect()
+        };
+        engine.submit_batch(batch(0)).unwrap();
+        model.wait_held(1);
+        for b in 1..6 {
+            engine.submit_batch(batch(b)).unwrap();
+        }
+        for b in 0..6 {
+            reference.submit_batch(batch(b)).unwrap();
+        }
+        let report = engine.take_report();
+        let snap = engine.telemetry_snapshot();
+        let waited = snap.counter("engine_waiter_batches").unwrap();
+        assert!(waited > 0, "the held worker left the queued batches to the waiter");
+        assert!(engine
+            .telemetry_summary()
+            .contains(&format!("({waited} batch(es) by the waiter)")));
+        assert_eq!(snap.counter("engine_checker_panics"), Some(0));
+        assert_eq!(snap.gauge("engine_workers"), Some(1.0), "the waiter is no worker");
+        assert_eq!(report.to_json_lines(), reference.take_report().to_json_lines());
+        // Both seats filed bundles; the queue kept the 16 lowest ids, sorted.
+        let bundles = engine.take_bundles();
+        let want = reference.take_bundles();
+        assert_eq!(bundles.len(), 16);
+        assert_eq!(
+            bundles.iter().map(DiagnosisBundle::to_json_lines).collect::<Vec<_>>(),
+            want.iter().map(DiagnosisBundle::to_json_lines).collect::<Vec<_>>()
+        );
+        assert_eq!(engine.bundles_dropped(), 8);
+        assert_eq!(reference.bundles_dropped(), 8);
+        // One TraceStats per seat, the waiter's last; together the same as
+        // the reference's.
+        let stats = engine.worker_trace_stats();
+        assert_eq!(stats.len(), 2);
+        assert!(stats[1].entries > 0, "the waiter seat's statistics are reported");
+        let sum = |stats: Vec<TraceStats>| {
+            stats.iter().fold(TraceStats::default(), |mut acc, s| {
+                acc.merge(s);
+                acc
+            })
+        };
+        assert_eq!(sum(stats), sum(reference.worker_trace_stats()));
+    }
+
+    #[test]
+    fn per_kind_diagnostic_counts_settle_per_batch_on_both_seats() {
+        let model = Arc::new(HeldWorkerModel::default());
+        let engine = Engine::new(EngineConfig { model: model.clone(), ..EngineConfig::default() });
+        let reference = Engine::new(EngineConfig::default());
+        let traces = |range: std::ops::Range<u64>| -> Vec<Trace> {
+            range
+                .map(|id| match id % 3 {
+                    0 => failing_trace_at(id),
+                    1 => warning_trace(id),
+                    _ => clean_trace(id),
+                })
+                .collect()
+        };
+        engine.submit_batch(traces(0..5)).unwrap();
+        model.wait_held(1);
+        for b in 1..4 {
+            engine.submit_batch(traces(b * 5..b * 5 + 5)).unwrap();
+        }
+        reference.submit_batch(traces(0..20)).unwrap();
+        engine.wait_idle();
+        reference.wait_idle();
+        let snap = engine.telemetry_snapshot();
+        assert!(snap.counter("engine_waiter_batches").unwrap() > 0, "both seats checked");
+        let diagnostics = snap.counter("engine_diagnostics").unwrap();
+        assert_eq!(snap.counter_sum("engine_diag_total"), diagnostics);
+        assert_eq!(diagnostics, 14, "7 failing traces with one FAIL, 7 warning ones with one WARN");
+        assert_eq!(diag_totals(&engine), diag_totals(&reference));
+    }
+
+    #[test]
+    fn checker_panic_on_the_waiter_never_reaches_the_caller() {
+        let model = Arc::new(HeldWorkerModel::panicking_off_worker());
+        let engine = Engine::new(EngineConfig { model: model.clone(), ..EngineConfig::default() });
+        engine.submit(clean_trace(0)).unwrap();
+        model.wait_held(1);
+        // Queued behind the held worker: the waiter claims it and panics.
+        engine.submit(clean_trace(1)).unwrap();
+        engine.wait_idle();
+        let counters = |e: &Engine| {
+            let snap = e.telemetry_snapshot();
+            (snap.counter("engine_checker_panics"), snap.counter("engine_waiter_batches"))
+        };
+        assert_eq!(counters(&engine), (Some(1), Some(0)));
+        assert!(engine.telemetry_summary().contains("WARNING: 1 checker panic(s)"));
+        // The retired seat does not help again: with the worker held and a
+        // batch queued, the second wait only blocks until the gate opens.
+        model.set_open(false);
+        engine.submit(clean_trace(2)).unwrap();
+        model.wait_held(2);
+        engine.submit(clean_trace(3)).unwrap();
+        let opener = {
+            let model = model.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                model.set_open(true);
+            })
+        };
+        engine.wait_idle();
+        opener.join().unwrap();
+        assert_eq!(counters(&engine), (Some(1), Some(0)), "the waiter stayed out");
+        // The engine still accepts and checks submissions.
+        engine.submit(clean_trace(4)).unwrap();
+        let report = engine.take_report();
+        let stats = engine.stats();
+        let lost = stats.traces_submitted - stats.traces_checked;
+        assert_eq!(lost, 1, "only the batch the waiter panicked on");
+        assert_eq!(report.traces().len() as u64 + lost, stats.traces_submitted);
+        let ids: Vec<u64> = report.traces().iter().map(|t| t.trace_id).collect();
+        assert_eq!(ids, vec![0, 2, 3, 4]);
+    }
+
+    #[test]
+    fn worker_death_counts_a_checker_panic() {
+        let engine = Engine::new(EngineConfig {
+            model: Arc::new(PanickingModel),
+            ..EngineConfig::default()
+        });
+        let trace = || {
+            let mut t = Trace::new(0);
+            t.push(Event::Write(ByteRange::with_len(0, 8)).here());
+            t
+        };
+        engine.submit(trace()).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while engine.submit(trace()).is_ok() {
+            assert!(std::time::Instant::now() < deadline, "worker death never surfaced");
+            std::thread::yield_now();
+        }
+        assert_eq!(engine.telemetry_snapshot().counter("engine_checker_panics"), Some(1));
+        assert!(engine.report().traces().is_empty());
+        assert_eq!(engine.telemetry_snapshot().counter("engine_checker_panics"), Some(1));
     }
 
     #[test]

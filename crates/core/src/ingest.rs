@@ -22,6 +22,12 @@
 //! path never touches the park lock and an oversubscribed pool is not
 //! dragged through park/unpark churn.
 //!
+//! A thread blocked in the engine's result barrier claims too, with no
+//! affinity: it scans every ring once per claim (each claim counts as a
+//! steal), never parks, and is invisible to the wake protocol — it is not
+//! a worker, so producers never recruit it and it never holds the
+//! recruit credit.
+//!
 //! ## Lifecycle
 //!
 //! * A producer thread's rings retire when the thread exits (thread-local
@@ -199,6 +205,9 @@ pub(crate) struct IngestPlane<T> {
     /// Recruiting CAS attempts that lost to an in-flight recruit: the
     /// backlog warranted a wake but one was already pending.
     recruit_cas_fails: AtomicU64,
+    /// Checker panics: worker threads that died unwinding, plus panics the
+    /// engine caught on its waiter seat.
+    checker_panics: AtomicU64,
 }
 
 impl<T: Send> IngestPlane<T> {
@@ -223,6 +232,7 @@ impl<T: Send> IngestPlane<T> {
             parks: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
             recruit_cas_fails: AtomicU64::new(0),
+            checker_panics: AtomicU64::new(0),
         }
     }
 
@@ -381,20 +391,24 @@ impl<T: Send> IngestPlane<T> {
         }
     }
 
-    /// One scan for work: the worker's affinity rings first, then everything
-    /// else (counted as steals).
-    fn try_claim(&self, me: usize) -> Option<(T, u64)> {
+    /// One scan for work. For worker `Some(me)`: its affinity rings first,
+    /// then everything else (counted as steals). With `None` — the
+    /// barrier's waiter, which has no affinity — every ring in one pass,
+    /// each claim counted as a steal.
+    pub(crate) fn try_claim(&self, me: Option<usize>) -> Option<(T, u64)> {
         if self.pending.load(Ordering::Acquire) == 0 {
             return None;
         }
         let rings = self.rings.read();
-        for ring in rings.iter().filter(|r| r.pref == me) {
-            if let Some(got) = self.try_pop(ring) {
-                self.affinity_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(got);
+        if let Some(me) = me {
+            for ring in rings.iter().filter(|r| r.pref == me) {
+                if let Some(got) = self.try_pop(ring) {
+                    self.affinity_hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(got);
+                }
             }
         }
-        for ring in rings.iter().filter(|r| r.pref != me) {
+        for ring in rings.iter().filter(|r| Some(r.pref) != me) {
             if let Some(got) = self.try_pop(ring) {
                 self.steals.fetch_add(1, Ordering::Relaxed);
                 return Some(got);
@@ -407,7 +421,7 @@ impl<T: Send> IngestPlane<T> {
     /// drained (`None`), or a park times out and the scan repeats.
     pub(crate) fn next_batch(&self, me: usize) -> Option<(T, u64)> {
         loop {
-            if let Some(got) = self.try_claim(me) {
+            if let Some(got) = self.try_claim(Some(me)) {
                 // Progress: any outstanding recruit credit is spent, so the
                 // next push re-evaluates whether the backlog needs another
                 // worker.
@@ -534,6 +548,16 @@ impl<T: Send> IngestPlane<T> {
         self.recruit_cas_fails.load(Ordering::Relaxed)
     }
 
+    /// Counts a checker panic the engine caught outside a worker thread.
+    pub(crate) fn note_checker_panic(&self) {
+        self.checker_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Worker deaths by panic plus caught checker panics.
+    pub(crate) fn checker_panics(&self) -> u64 {
+        self.checker_panics.load(Ordering::Relaxed)
+    }
+
     /// A per-ring observability sample across every registered ring still
     /// on the scan path.
     pub(crate) fn ring_stats(&self) -> Vec<RingStats> {
@@ -578,7 +602,8 @@ impl<T: Send> IngestPlane<T> {
 
 /// RAII guard a worker thread holds for its whole life: the drop (normal
 /// exit or unwinding panic) decrements the live-worker count, and the last
-/// one out marks the plane dead.
+/// one out marks the plane dead. A drop while unwinding counts a checker
+/// panic.
 pub(crate) struct WorkerGuard<T: Send> {
     plane: Arc<IngestPlane<T>>,
 }
@@ -591,6 +616,9 @@ impl<T: Send> WorkerGuard<T> {
 
 impl<T: Send> Drop for WorkerGuard<T> {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.plane.note_checker_panic();
+        }
         if self.plane.workers_alive.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.plane.mark_dead();
         }
@@ -741,12 +769,17 @@ mod tests {
         let plane: Arc<IngestPlane<u32>> = Arc::new(IngestPlane::new(2, 8));
         let ring = plane.register_ring(); // pref = 0
         plane.push(&ring, 1, 1).unwrap();
-        assert!(plane.try_claim(0).is_some());
+        assert!(plane.try_claim(Some(0)).is_some());
         assert_eq!(plane.steals(), 0, "affinity claim is not a steal");
         plane.push(&ring, 2, 1).unwrap();
-        assert!(plane.try_claim(1).is_some());
+        assert!(plane.try_claim(Some(1)).is_some());
         assert_eq!(plane.steals(), 1, "foreign claim is a steal");
         assert_eq!(plane.affinity_hits(), 1, "only the first claim was on-affinity");
+        plane.push(&ring, 3, 1).unwrap();
+        assert_eq!(plane.try_claim(None).map(|(v, _)| v), Some(3), "no affinity claims any ring");
+        assert_eq!(plane.steals(), 2, "a claim without affinity is a steal");
+        assert_eq!(plane.affinity_hits(), 1);
+        assert!(plane.try_claim(None).is_none(), "nothing left to claim");
     }
 
     /// Per-ring samples track pushes, occupancy, and the high-water mark.
@@ -758,7 +791,7 @@ mod tests {
         plane.push(&a, 1, 3).unwrap();
         plane.push(&a, 2, 2).unwrap();
         plane.push(&b, 3, 1).unwrap();
-        assert!(plane.try_claim(0).is_some());
+        assert!(plane.try_claim(Some(0)).is_some());
         let stats = plane.ring_stats();
         assert_eq!(stats.len(), 2);
         let sa = stats.iter().find(|s| s.pref == 0).unwrap();

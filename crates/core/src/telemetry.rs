@@ -10,12 +10,13 @@
 //! [`EventLog`] ring is likewise behind [`TelemetryConfig::events`].
 //!
 //! The layers that watch the replay itself — timing, the flight recorder
-//! and profiling — run on the worker's *observed lane*. Their per-entry and
-//! per-trace work lands in worker-owned accumulators ([`TimingFold`],
-//! [`ProfileFold`], the worker's recorder ring), and the shared histograms,
+//! and profiling — run on the checker's *observed lane*. Their per-entry and
+//! per-trace work lands in seat-owned accumulators ([`TimingFold`],
+//! [`ProfileFold`], the seat's recorder ring), and the shared histograms,
 //! `worker_stats` and [`ProfileStore`] take one fold per batch, before the
 //! batch's `traces_checked` is published. A snapshot taken mid-batch can
-//! therefore lag the checked traces by at most one batch per worker.
+//! therefore lag the checked traces by at most one batch per checker seat
+//! (each worker, plus the thread helping inside `Engine::wait_idle`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,8 +56,9 @@ pub struct TelemetryConfig {
     pub events: bool,
     /// Capacity of the event ring (oldest events are overwritten).
     pub event_capacity: usize,
-    /// Keep a per-worker flight-recorder ring of recently replayed entries
-    /// with the interval state the model assigned, and emit a diagnosis
+    /// Keep a flight-recorder ring per checker seat (each worker, plus the
+    /// thread checking inside `Engine::wait_idle`) of recently replayed
+    /// entries with the interval state the model assigned, and emit a diagnosis
     /// bundle whenever a checker fires an ERROR (see DESIGN.md §11). Costs
     /// one ring lock per trace and, per entry, a copy of the entry's persist
     /// intervals into the ring slot it evicts (no allocation once the ring
@@ -64,7 +66,7 @@ pub struct TelemetryConfig {
     /// past it a FAIL costs one lock and the `engine_bundles_dropped`
     /// counter. Recorded traces bypass the verdict cache and the clean lane.
     pub recorder: bool,
-    /// Steps retained per worker by the flight recorder.
+    /// Steps retained per checker seat by the flight recorder.
     pub recorder_capacity: usize,
     /// Record per-thread ingest spans (ship/claim/replay/merge) into
     /// lock-free span buffers, exportable as Perfetto-loadable Chrome
@@ -325,9 +327,10 @@ pub(crate) struct EngineTelemetry {
     pub(crate) segmap_repr_switches: Counter,
     /// FAIL/WARN production per [`DiagKind`]; indexed like [`DiagKind::ALL`].
     diag_kinds: [Counter; DiagKind::ALL.len()],
-    /// Busy nanoseconds per worker (timing only).
+    /// Busy nanoseconds per checker seat — each worker, then the waiter
+    /// (timing only).
     pub(crate) worker_busy: Vec<Counter>,
-    /// Aggregated [`TraceStats`] per worker (timing only).
+    /// Aggregated [`TraceStats`] per checker seat (timing only).
     pub(crate) worker_stats: Vec<Mutex<TraceStats>>,
     /// Traces per shipped session batch.
     pub(crate) batch_fill: Histogram,
@@ -366,7 +369,9 @@ pub(crate) struct SpanNames {
 }
 
 impl EngineTelemetry {
-    pub(crate) fn new(workers: usize, config: &TelemetryConfig) -> Self {
+    /// Metric handles for an engine with `seats` checker seats (its workers
+    /// plus the waiter's seat).
+    pub(crate) fn new(seats: usize, config: &TelemetryConfig) -> Self {
         let registry = MetricsRegistry::new();
         let events = EventLog::with_capacity(config.event_capacity.max(1));
         events.set_enabled(config.events);
@@ -392,7 +397,7 @@ impl EngineTelemetry {
                 &[("code", k.code()), ("severity", k.severity().as_str())],
             )
         });
-        let worker_busy = (0..workers)
+        let worker_busy = (0..seats)
             .map(|i| {
                 let worker = i.to_string();
                 registry.counter("engine_worker_busy_ns", &[("worker", &worker)])
@@ -410,7 +415,7 @@ impl EngineTelemetry {
             segmap_repr_switches: registry.counter("engine_segmap_repr_switches", &[]),
             diag_kinds,
             worker_busy,
-            worker_stats: (0..workers).map(|_| Mutex::new(TraceStats::default())).collect(),
+            worker_stats: (0..seats).map(|_| Mutex::new(TraceStats::default())).collect(),
             batch_fill: registry.histogram("session_batch_fill", &[]),
             flush_causes: [
                 registry.counter("session_flush_total", &[("cause", FlushCause::Capacity.label())]),
@@ -452,10 +457,14 @@ impl EngineTelemetry {
         }
     }
 
-    /// The counter for one diagnostic kind.
-    pub(crate) fn diag_counter(&self, kind: DiagKind) -> &Counter {
-        let idx = DiagKind::ALL.iter().position(|k| *k == kind).expect("kind listed in ALL");
-        &self.diag_kinds[idx]
+    /// Adds one batch's diagnostic counts, indexed like [`DiagKind::ALL`]
+    /// (the declaration order, so `kind as usize` indexes it).
+    pub(crate) fn count_diags(&self, kinds: &[u64; DiagKind::ALL.len()]) {
+        for (counter, &n) in self.diag_kinds.iter().zip(kinds) {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 
     /// Records one shipped session batch.
@@ -704,13 +713,16 @@ impl ProfileFold {
 /// latency p50/p99, queue high-water, diagnostics — for examples and
 /// harnesses to dogfood the telemetry API without formatting it themselves.
 ///
-/// When the capped telemetry rings lost anything (event-ring overwrites,
-/// span-buffer overwrites), a WARNING line is appended, and another when
-/// ERROR diagnosis bundles were dropped at the bundle-queue cap — silent
-/// data loss in the observability layer is how regressions hide.
+/// The line also says how many batches the thread waiting in
+/// `Engine::wait_idle` checked on its own seat. When the capped telemetry
+/// rings lost anything (event-ring overwrites, span-buffer overwrites), a
+/// WARNING line is appended, another when ERROR diagnosis bundles were
+/// dropped at the bundle-queue cap, and another when a checker panicked —
+/// silent data loss in the observability layer is how regressions hide.
 #[must_use]
 pub fn summary_line(snap: &TelemetrySnapshot) -> String {
     let traces = snap.counter("engine_traces_checked").unwrap_or(0);
+    let waiter = snap.counter("engine_waiter_batches").unwrap_or(0);
     let highwater = snap.counter("engine_queue_highwater").unwrap_or(0);
     let sev_total = |sev: &str| -> u64 {
         snap.counters
@@ -729,8 +741,8 @@ pub fn summary_line(snap: &TelemetrySnapshot) -> String {
         _ => "check latency n/a (timing off)".to_owned(),
     };
     let mut line = format!(
-        "telemetry: {traces} traces checked, {latency}, queue high-water {highwater}, \
-         {} FAIL / {} WARN",
+        "telemetry: {traces} traces checked ({waiter} batch(es) by the waiter), {latency}, \
+         queue high-water {highwater}, {} FAIL / {} WARN",
         sev_total("FAIL"),
         sev_total("WARN"),
     );
@@ -774,6 +786,13 @@ pub fn summary_line(snap: &TelemetrySnapshot) -> String {
         line.push_str(&format!(
             "\nWARNING: diagnosis bundle queue full — {bundles_dropped} ERROR bundle(s) \
              dropped; drain take_bundles() more often"
+        ));
+    }
+    let panics = snap.counter_sum("engine_checker_panics");
+    if panics > 0 {
+        line.push_str(&format!(
+            "\nWARNING: {panics} checker panic(s) — the batch each was checking went \
+             unreported; a dead worker pool rejects further submissions"
         ));
     }
     line
@@ -861,12 +880,24 @@ mod tests {
     #[test]
     fn diag_counters_cover_every_kind() {
         let tel = EngineTelemetry::new(1, &TelemetryConfig::off());
-        for kind in DiagKind::ALL {
-            tel.diag_counter(kind).inc();
+        let mut kinds = [0; DiagKind::ALL.len()];
+        for (i, kind) in DiagKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL is in declaration order");
+            kinds[kind as usize] += i as u64 + 1;
         }
+        tel.count_diags(&kinds);
         let snap = tel.snapshot();
-        let total: u64 = snap.counter_sum("engine_diag_total");
-        assert_eq!(total, DiagKind::ALL.len() as u64);
+        for (i, kind) in DiagKind::ALL.into_iter().enumerate() {
+            let counter = snap
+                .counters
+                .iter()
+                .find(|c| {
+                    c.name == "engine_diag_total"
+                        && c.labels.iter().any(|(k, v)| k == "code" && v == kind.code())
+                })
+                .expect("per-kind counter registered");
+            assert_eq!(counter.value, i as u64 + 1, "{}", kind.code());
+        }
     }
 
     #[test]
@@ -908,6 +939,21 @@ mod tests {
         snap.push_counter("engine_bundles_dropped", &[], 24);
         let s = summary_line(&snap);
         assert!(s.contains("WARNING: diagnosis bundle queue full — 24 ERROR bundle(s)"), "{s}");
+    }
+
+    #[test]
+    fn summary_line_names_the_waiter_and_warns_on_checker_panics() {
+        let tel = EngineTelemetry::new(2, &TelemetryConfig::off());
+        let mut snap = tel.snapshot();
+        snap.push_counter("engine_waiter_batches", &[], 7);
+        snap.push_counter("engine_checker_panics", &[], 0);
+        let s = summary_line(&snap);
+        assert!(s.contains("(7 batch(es) by the waiter)"), "{s}");
+        assert!(!s.contains("WARNING"), "{s}");
+        let mut snap = tel.snapshot();
+        snap.push_counter("engine_checker_panics", &[], 2);
+        let s = summary_line(&snap);
+        assert!(s.contains("WARNING: 2 checker panic(s)"), "{s}");
     }
 
     #[test]

@@ -103,7 +103,10 @@ fn repeated_shapes_hit_the_cache() {
     // The counters surface through the snapshot and the summary line.
     let snap = session.telemetry_snapshot();
     assert_eq!(snap.counter("verdict_cache_misses"), Some(4));
-    assert_eq!(snap.counter("verdict_cache_l1_hits"), Some(96));
+    // One L1 per checker seat: a repeat the barrier's waiter checks inside
+    // `finish` can miss its own L1 and hit the shared L2 instead.
+    let hit = |name| snap.counter(name).expect("cache counter exported");
+    assert_eq!(hit("verdict_cache_l1_hits") + hit("verdict_cache_l2_hits"), 96);
     assert!(snap.gauge("verdict_cache_hit_rate").unwrap() >= 0.95);
     assert!(snap.gauge("verdict_cache_bytes_resident").unwrap() > 0.0);
     assert!(
